@@ -222,7 +222,10 @@ stage_intersect() {
 # cache with the same count), load a grid whose S-UTM footprint
 # overflows the C2050 so the Eqs. 1-2 admission test rejects the query
 # with code 5, and check the report op's admission ledger. The
-# cache-transparency property suite (tests/prop_serve.rs) then runs.
+# cache-transparency property suite (tests/prop_serve.rs), the TCP
+# end-to-end tests (persistent-connection latency, descriptor
+# exhaustion) and the benchmark package's tests, which also prove the
+# benchmark still builds against the serving API, then run.
 stage_serve() {
     local out="$scratch/serve_out"
     {
@@ -251,6 +254,8 @@ stage_serve() {
     sed -n 6p "$out" | grep -q '"result_hits":1'
     echo "daemon smoke: warm ${warm_count#*:} matches cold, oversized grid rejected"
     cargo test --release --quiet --test prop_serve
+    cargo test --release --quiet --test cli serve_
+    cargo test --release --quiet --manifest-path benchmark/Cargo.toml
 }
 
 # Ablation sweep (combination vs intersection, layout x schedule) with

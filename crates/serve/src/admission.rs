@@ -15,9 +15,10 @@
 //! queued one records how long it waited — the `queue_wait_s` field of
 //! the report's serving section.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
+use crate::lock;
 use trigon_core::capacity::{fits, max_graph_sutm, StorageModel};
 use trigon_core::Error;
 use trigon_fleet::FleetSpec;
@@ -157,7 +158,7 @@ impl Queue {
     /// line is already at depth.
     pub fn acquire(&self) -> Result<Permit<'_>, Error> {
         let started = Instant::now();
-        let mut st = self.state.lock().unwrap();
+        let mut st = lock(&self.state);
         if st.running < self.slots && st.waiting == 0 {
             st.running += 1;
             return Ok(Permit {
@@ -173,7 +174,7 @@ impl Queue {
         }
         st.waiting += 1;
         while st.running >= self.slots {
-            st = self.cv.wait(st).unwrap();
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         st.waiting -= 1;
         st.running += 1;
@@ -186,7 +187,7 @@ impl Queue {
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        let mut st = self.queue.state.lock().unwrap();
+        let mut st = lock(&self.queue.state);
         st.running -= 1;
         drop(st);
         self.queue.cv.notify_one();

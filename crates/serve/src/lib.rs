@@ -24,10 +24,21 @@
 
 #![deny(missing_docs)]
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub mod admission;
 pub mod protocol;
 pub mod registry;
 pub mod server;
+
+/// Locks `m`, taking the guard back if a thread panicked while holding
+/// it. Every critical section in this crate leaves its data valid at
+/// each step (map inserts and removals, counter bumps), so the state
+/// behind a poisoned lock is consistent, and one panicking request must
+/// not wedge every later client.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 pub use admission::{Permit, Policy, Queue, Verdict};
 pub use protocol::{

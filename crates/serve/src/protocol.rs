@@ -16,7 +16,7 @@
 //! config / unloaded graph, 3 I/O, 4 malformed dataset, 5 graph too
 //! large) is exactly the one-shot CLI's.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use trigon_core::Error;
 use trigon_telemetry::Json;
@@ -56,8 +56,19 @@ impl Wire {
                         "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
                     )));
                 }
-                let mut buf = vec![0u8; len as usize];
-                r.read_exact(&mut buf).map_err(wire_io)?;
+                // The header is untrusted: grow the buffer as body bytes
+                // arrive rather than reserving `len` up front.
+                let mut buf = Vec::new();
+                let got = r
+                    .take(u64::from(len))
+                    .read_to_end(&mut buf)
+                    .map_err(wire_io)?;
+                if got < len as usize {
+                    return Err(wire_io(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        format!("frame truncated after {got} of {len} bytes"),
+                    )));
+                }
                 String::from_utf8(buf)
                     .map_err(|e| Error::Parse(format!("frame is not UTF-8: {e}")))?
             }
@@ -77,27 +88,36 @@ impl Wire {
             .map_err(|e| Error::Parse(format!("bad message {t:?}: {e}")))
     }
 
-    /// Writes one message and flushes.
+    /// Writes one message with a single `write_all` and flushes.
+    ///
+    /// One write per message is what keeps a socket from stalling: a
+    /// second write (the body after its length prefix, or the newline
+    /// after the body) waits in Nagle's buffer until the peer's delayed
+    /// ACK, ~40 ms.
     ///
     /// # Errors
     ///
     /// [`Error::Io`] for transport failures.
     pub fn write_msg<W: Write>(&self, w: &mut W, msg: &Json) -> Result<(), Error> {
-        let text = msg.to_string_compact();
-        match self {
+        let bytes = match self {
             Wire::Framed => {
-                let bytes = text.as_bytes();
-                let len = u32::try_from(bytes.len()).map_err(|_| {
+                // Serialize after a placeholder, then patch the length in.
+                let mut text = String::from("\0\0\0\0");
+                msg.write_compact(&mut text);
+                let mut bytes = text.into_bytes();
+                let len = u32::try_from(bytes.len() - 4).map_err(|_| {
                     Error::Parse("message exceeds the 4 GiB frame space".to_string())
                 })?;
-                w.write_all(&len.to_be_bytes()).map_err(wire_io)?;
-                w.write_all(bytes).map_err(wire_io)?;
+                bytes[..4].copy_from_slice(&len.to_be_bytes());
+                bytes
             }
             Wire::Ndjson => {
-                w.write_all(text.as_bytes()).map_err(wire_io)?;
-                w.write_all(b"\n").map_err(wire_io)?;
+                let mut text = msg.to_string_compact();
+                text.push('\n');
+                text.into_bytes()
             }
-        }
+        };
+        w.write_all(&bytes).map_err(wire_io)?;
         w.flush().map_err(wire_io)
     }
 }
@@ -329,6 +349,42 @@ mod tests {
             assert_eq!(wire.read_msg(&mut r).unwrap(), Some(msg.clone()));
             assert_eq!(wire.read_msg(&mut r).unwrap(), Some(msg));
             assert_eq!(wire.read_msg(&mut r).unwrap(), None, "{wire:?} EOF");
+        }
+    }
+
+    /// A sink that records how many `write` calls a message took.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_is_one_write_on_both_wires() {
+        let mut msg = Json::object();
+        msg.set("ok", Json::from(true));
+        msg.set("graph", Json::from("g"));
+        for wire in [Wire::Framed, Wire::Ndjson] {
+            let mut w = CountingWriter::default();
+            wire.write_msg(&mut w, &msg).unwrap();
+            assert_eq!(w.writes, 1, "{wire:?}");
+            wire.write_msg(&mut w, &msg).unwrap();
+            assert_eq!(w.writes, 2, "{wire:?}");
+            let mut r = std::io::Cursor::new(w.bytes);
+            assert_eq!(wire.read_msg(&mut r).unwrap(), Some(msg.clone()));
+            assert_eq!(wire.read_msg(&mut r).unwrap(), Some(msg.clone()));
         }
     }
 

@@ -18,6 +18,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use crate::lock;
 use trigon_core::als::{build_als, Als};
 use trigon_core::Error;
 use trigon_graph::{gen, Graph};
@@ -94,7 +95,7 @@ impl Registry {
     /// [`Error::BadConfig`] if the name is taken (evict first — silent
     /// replacement would orphan cache entries a client believes warm).
     pub fn load(&self, name: &str, graph: Graph, source: String) -> Result<(u32, usize), Error> {
-        let mut graphs = self.graphs.lock().unwrap();
+        let mut graphs = lock(&self.graphs);
         if graphs.contains_key(name) {
             return Err(Error::bad_config(format!(
                 "graph {name:?} is already loaded; evict it first"
@@ -117,9 +118,7 @@ impl Registry {
     ///
     /// [`Error::BadConfig`] (CLI exit 2) for an unloaded name.
     pub fn get(&self, name: &str) -> Result<Arc<Graph>, Error> {
-        self.graphs
-            .lock()
-            .unwrap()
+        lock(&self.graphs)
             .get(name)
             .map(|r| Arc::clone(&r.graph))
             .ok_or_else(|| {
@@ -133,11 +132,11 @@ impl Registry {
     ///
     /// [`Error::BadConfig`] for an unloaded name.
     pub fn evict(&self, name: &str) -> Result<(), Error> {
-        let mut graphs = self.graphs.lock().unwrap();
+        let mut graphs = lock(&self.graphs);
         if graphs.remove(name).is_none() {
             return Err(Error::bad_config(format!("graph {name:?} is not loaded")));
         }
-        let mut caches = self.caches.lock().unwrap();
+        let mut caches = lock(&self.caches);
         caches.artifacts.retain(|(g, _, _), _| g != name);
         let prefix = result_key_prefix(name);
         caches.results.retain(|k, _| !k.starts_with(&prefix));
@@ -148,8 +147,8 @@ impl Registry {
     /// Every loaded graph, sorted by name.
     #[must_use]
     pub fn list(&self) -> Vec<GraphInfo> {
-        let graphs = self.graphs.lock().unwrap();
-        let caches = self.caches.lock().unwrap();
+        let graphs = lock(&self.graphs);
+        let caches = lock(&self.caches);
         let mut out: Vec<GraphInfo> = graphs
             .iter()
             .map(|(name, r)| GraphInfo {
@@ -191,7 +190,7 @@ impl Registry {
     ) -> (Arc<Vec<Als>>, bool) {
         let key = (name.to_string(), device.to_string(), method.to_string());
         {
-            let mut caches = self.caches.lock().unwrap();
+            let mut caches = lock(&self.caches);
             if let Some(a) = caches.artifacts.get(&key) {
                 let a = Arc::clone(a);
                 caches.stats.artifact_hits += 1;
@@ -213,7 +212,7 @@ impl Registry {
         // builder may insert first; last write wins and both Arcs hold
         // the same bit-identical decomposition.
         let als = Arc::new(build_als(graph));
-        let mut caches = self.caches.lock().unwrap();
+        let mut caches = lock(&self.caches);
         caches.artifacts.insert(key, Arc::clone(&als));
         caches.stats.artifact_misses += 1;
         (als, false)
@@ -223,7 +222,7 @@ impl Registry {
     /// the hit/miss.
     #[must_use]
     pub fn result(&self, key: &str) -> Option<Json> {
-        let mut caches = self.caches.lock().unwrap();
+        let mut caches = lock(&self.caches);
         let hit = caches.results.get(key).cloned();
         if hit.is_some() {
             caches.stats.result_hits += 1;
@@ -235,17 +234,29 @@ impl Registry {
 
     /// Memoizes a finished report under the canonical query key.
     pub fn put_result(&self, key: &str, report: Json) {
-        self.caches
-            .lock()
-            .unwrap()
-            .results
-            .insert(key.to_string(), report);
+        lock(&self.caches).results.insert(key.to_string(), report);
     }
 
     /// Snapshot of the cache counters.
     #[must_use]
     pub fn stats(&self) -> RegistryStats {
-        self.caches.lock().unwrap().stats
+        lock(&self.caches).stats
+    }
+
+    /// Poisons both locks, as a query panicking while it held them would.
+    #[cfg(test)]
+    pub(crate) fn poison(&self) {
+        std::thread::scope(|s| {
+            let panicked = s
+                .spawn(|| {
+                    let _graphs = self.graphs.lock();
+                    let _caches = self.caches.lock();
+                    panic!("poisoning the registry locks");
+                })
+                .join();
+            assert!(panicked.is_err());
+        });
+        assert!(self.graphs.is_poisoned() && self.caches.is_poisoned());
     }
 }
 

@@ -5,20 +5,22 @@
 //! in, one response out — used directly by in-process tests. The
 //! transport layers wrap it: [`Server::serve`] pumps one duplex stream
 //! (stdio, a pipe, one accepted socket), [`Server::serve_tcp`] /
-//! [`Server::serve_unix`] accept concurrent connections, each on its
-//! own thread over the shared registry, so independent clients hit the
-//! same warm caches.
+//! [`Server::serve_unix`] share one accept loop that serves each
+//! connection on its own thread over the shared registry, so
+//! independent clients hit the same warm caches.
 //!
 //! Every query response embeds the schema-v8 `serving` section: the
 //! Eqs. 1–2 admission verdict and target, result/artifact cache
 //! outcomes, measured queue wait, and the batch's amortized share of
 //! the simulated H2D upload.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use crate::admission::{Policy, Queue, Verdict};
+use crate::lock;
 use crate::protocol::{
     err_response, ok_response, parse_request, LoadSource, QueryItem, Request, Wire,
 };
@@ -187,7 +189,7 @@ impl Server {
 
     fn do_query(&self, graph_name: &str, items: &[QueryItem]) -> Result<Json, Error> {
         let permit = self.queue.acquire().inspect_err(|_| {
-            self.admit_stats.lock().unwrap().busy += 1;
+            lock(&self.admit_stats).busy += 1;
         })?;
         let g = self.registry.get(graph_name)?;
         let batch_size = items.len() as u64;
@@ -222,12 +224,10 @@ impl Server {
     ) -> Result<Json, Error> {
         let method = Method::parse(&item.method)?;
         let workload = Workload::parse(&item.workload, item.k)?;
-        {
-            self.admit_stats.lock().unwrap().queries += 1;
-        }
+        lock(&self.admit_stats).queries += 1;
         let verdict = self.policy.admit(g.n(), method.uses_device());
         {
-            let mut st = self.admit_stats.lock().unwrap();
+            let mut st = lock(&self.admit_stats);
             match &verdict {
                 Ok((Verdict::Admit, _)) => st.admitted += 1,
                 Ok((Verdict::Route, _)) => st.routed += 1,
@@ -259,7 +259,10 @@ impl Server {
                 match verdict {
                     Verdict::Admit => run = run.device(self.policy.device.clone()),
                     Verdict::Route => {
-                        run = run.fleet(self.policy.fleet.clone().expect("route needs a fleet"));
+                        let fleet = self.policy.fleet.clone().ok_or_else(|| {
+                            Error::bad_config("admission routed a query but no fleet is configured")
+                        })?;
+                        run = run.fleet(fleet);
                     }
                 }
                 if let Some(als) = als {
@@ -292,7 +295,7 @@ impl Server {
 
     fn do_report(&self) -> Json {
         let cache = self.registry.stats();
-        let admit = *self.admit_stats.lock().unwrap();
+        let admit = *lock(&self.admit_stats);
         let mut stats = Json::object();
         stats.set("graphs", Json::from(self.registry.list().len()));
         stats.set("queries", Json::from(admit.queries));
@@ -344,71 +347,102 @@ impl Server {
     }
 
     /// Accepts TCP connections until a client sends `shutdown`; each
-    /// connection runs on its own thread over the shared state.
+    /// connection runs on its own thread over the shared state. Every
+    /// accepted socket sets `TCP_NODELAY`, so a response larger than
+    /// one segment never waits for the client's delayed ACK.
     ///
     /// # Errors
     ///
-    /// Propagates accept failures.
+    /// When the listener's local address (needed to wake the loop on
+    /// shutdown) cannot be read. Failed accepts are logged and retried.
     pub fn serve_tcp(
         self: &Arc<Self>,
         listener: std::net::TcpListener,
         wire: Wire,
     ) -> std::io::Result<()> {
         let addr = listener.local_addr()?;
-        for conn in listener.incoming() {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = conn?;
-            let server = Arc::clone(self);
-            std::thread::spawn(move || {
-                let Ok(read_half) = stream.try_clone() else {
-                    return;
-                };
-                let mut r = BufReader::new(read_half);
-                let mut w = stream;
-                if let Ok(true) = server.serve(&mut r, &mut w, wire) {
-                    // Unblock the accept loop so it can observe stop.
-                    let _ = std::net::TcpStream::connect(addr);
-                }
-            });
-        }
+        self.accept_loop(
+            || {
+                let (stream, _) = listener.accept()?;
+                stream.set_nodelay(true)?;
+                Ok(stream)
+            },
+            move || drop(std::net::TcpStream::connect(addr)),
+            wire,
+        );
         Ok(())
     }
 
-    /// Accepts Unix-socket connections until a client sends `shutdown`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept failures.
+    /// Accepts Unix-socket connections at `path` until a client sends
+    /// `shutdown`. Failed accepts are logged and retried.
     #[cfg(unix)]
     pub fn serve_unix(
         self: &Arc<Self>,
         listener: std::os::unix::net::UnixListener,
         path: &str,
         wire: Wire,
-    ) -> std::io::Result<()> {
+    ) {
         let path = path.to_string();
-        for conn in listener.incoming() {
+        self.accept_loop(
+            || listener.accept().map(|(stream, _)| stream),
+            move || drop(std::os::unix::net::UnixStream::connect(&path)),
+            wire,
+        );
+    }
+
+    /// The accept loop both socket transports share. `wake` connects
+    /// to the listener once, so a loop blocked in `accept` observes a
+    /// shutdown. A failed accept (e.g. out of file descriptors) is
+    /// logged and retried after [`ACCEPT_RETRY`] instead of ending the
+    /// daemon: descriptors come back as other clients hang up.
+    fn accept_loop<S>(
+        self: &Arc<Self>,
+        mut accept: impl FnMut() -> std::io::Result<S>,
+        wake: impl Fn() + Clone + Send + 'static,
+        wire: Wire,
+    ) where
+        S: Send + 'static,
+        for<'a> &'a S: Read + Write,
+    {
+        loop {
+            let conn = accept();
             if self.stop.load(Ordering::SeqCst) {
-                break;
+                return;
             }
-            let stream = conn?;
+            let stream = match conn {
+                Ok(stream) => stream,
+                Err(e) => {
+                    log(&format!(
+                        "accept failed: {e}; retrying in {} ms",
+                        ACCEPT_RETRY.as_millis()
+                    ));
+                    std::thread::sleep(ACCEPT_RETRY);
+                    continue;
+                }
+            };
             let server = Arc::clone(self);
-            let wake = path.clone();
-            std::thread::spawn(move || {
-                let Ok(read_half) = stream.try_clone() else {
-                    return;
-                };
-                let mut r = BufReader::new(read_half);
-                let mut w = stream;
-                if let Ok(true) = server.serve(&mut r, &mut w, wire) {
-                    let _ = std::os::unix::net::UnixStream::connect(&wake);
+            let wake = wake.clone();
+            // Detached: a shutdown must not wait for idle clients to
+            // hang up.
+            let spawned = std::thread::Builder::new().spawn(move || {
+                if let Ok(true) = server.serve(&mut BufReader::new(&stream), &mut &stream, wire) {
+                    wake();
                 }
             });
+            if let Err(e) = spawned {
+                log(&format!("cannot start a connection thread: {e}"));
+            }
         }
-        Ok(())
     }
+}
+
+/// How long the accept loop backs off after a failed accept.
+const ACCEPT_RETRY: Duration = Duration::from_millis(100);
+
+/// Writes one line to the daemon's stderr. A closed stderr must not
+/// take the daemon down, so the write's own failure is ignored.
+fn log(msg: &str) {
+    let _ = writeln!(std::io::stderr(), "trigon serve: {msg}");
 }
 
 /// Whether the executor for this (method, workload) accepts prebuilt
@@ -517,6 +551,22 @@ mod tests {
         let stats = s.registry().stats();
         assert_eq!(stats.artifact_hits, 1);
         assert_eq!(stats.artifact_misses, 2);
+    }
+
+    #[test]
+    fn poisoned_registry_still_answers_load_query_and_report() {
+        let s = server();
+        load_small(&s, "g");
+        s.registry().poison();
+        load_small(&s, "h");
+        let (resp, _) = s.handle(&msg(
+            r#"{"op":"query","graph":"g","workload":"triangles","method":"cpu-fast"}"#,
+        ));
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
+        let (resp, _) = s.handle(&msg(r#"{"op":"report"}"#));
+        let stats = resp.get("stats").expect("report answers");
+        assert_eq!(stats.get("graphs"), Some(&Json::from(2usize)));
+        assert_eq!(stats.get("queries"), Some(&Json::from(1u64)));
     }
 
     #[test]

@@ -42,11 +42,13 @@ impl Json {
     /// # Errors
     ///
     /// Returns a message with the byte offset of the first syntax
-    /// error, including trailing garbage after the top-level value.
+    /// error, including trailing garbage after the top-level value and
+    /// arrays/objects nested deeper than [`MAX_PARSE_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -87,8 +89,14 @@ impl Json {
     #[must_use]
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Appends the compact serialization to `out`, so a caller can
+    /// frame a message around it without copying the body.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Serializes with 2-space indentation.
@@ -196,9 +204,16 @@ impl Json {
     }
 }
 
+/// How deeply [`Json::parse`] nests arrays and objects before it gives
+/// up. Run reports nest about six levels; the cap keeps a hostile
+/// `[[[[…` document from recursing until the stack overflows.
+pub const MAX_PARSE_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -241,8 +256,22 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_PARSE_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_PARSE_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b) => Err(format!(
                 "unexpected character '{}' at byte {}",
@@ -579,6 +608,24 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{}extra").is_err());
         assert!(Json::parse("'single'").is_err());
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth_instead_of_overflowing_the_stack() {
+        let deepest_ok = format!(
+            "{}{}",
+            "[".repeat(MAX_PARSE_DEPTH),
+            "]".repeat(MAX_PARSE_DEPTH)
+        );
+        assert!(Json::parse(&deepest_ok).is_ok());
+        let one_deeper = format!("[{deepest_ok}]");
+        let err = Json::parse(&one_deeper).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_PARSE_DEPTH}")), "{err}");
+
+        for bomb in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let err = Json::parse(&bomb).unwrap_err();
+            assert!(err.contains("nesting deeper"), "{err}");
+        }
     }
 
     #[test]

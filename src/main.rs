@@ -1019,14 +1019,9 @@ fn serve_unix_socket(
     println!("listening on {path}");
     use std::io::Write as _;
     std::io::stdout().flush().ok();
-    let r = server
-        .serve_unix(listener, path, wire)
-        .map_err(|e| Error::Io {
-            path: path.to_string(),
-            source: e,
-        });
+    server.serve_unix(listener, path, wire);
     let _ = std::fs::remove_file(path);
-    r
+    Ok(())
 }
 
 #[cfg(not(unix))]
@@ -1140,15 +1135,13 @@ fn build_query_request(pos: &[String], flags: &HashMap<String, String>) -> Resul
 fn exchange(req: &Json, flags: &HashMap<String, String>) -> Result<Json, Error> {
     let wire = wire_for(flags);
     if let Some(addr) = flags.get("to") {
-        let stream = std::net::TcpStream::connect(addr).map_err(|e| Error::Io {
+        let io_err = |e| Error::Io {
             path: addr.clone(),
             source: e,
-        })?;
-        let reader = stream.try_clone().map_err(|e| Error::Io {
-            path: addr.clone(),
-            source: e,
-        })?;
-        talk(BufReader::new(reader), stream, wire, req)
+        };
+        let stream = std::net::TcpStream::connect(addr).map_err(io_err)?;
+        stream.set_nodelay(true).map_err(io_err)?;
+        talk(BufReader::new(&stream), &stream, wire, req)
     } else if let Some(path) = flags.get("socket") {
         connect_unix_socket(path, wire, req)
     } else {
@@ -1164,11 +1157,7 @@ fn connect_unix_socket(path: &str, wire: trigon::serve::Wire, req: &Json) -> Res
         path: path.to_string(),
         source: e,
     })?;
-    let reader = stream.try_clone().map_err(|e| Error::Io {
-        path: path.to_string(),
-        source: e,
-    })?;
-    talk(BufReader::new(reader), stream, wire, req)
+    talk(BufReader::new(&stream), &stream, wire, req)
 }
 
 #[cfg(not(unix))]

@@ -632,10 +632,22 @@ struct Daemon {
 
 impl Daemon {
     fn spawn() -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_trigon"))
-            .args(["serve", "--listen", "127.0.0.1:0"])
+        Daemon::spawn_with(&[])
+    }
+
+    /// `trigon serve --listen 127.0.0.1:0` plus `extra` flags.
+    fn spawn_with(extra: &[&str]) -> Daemon {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_trigon"));
+        cmd.args(["serve", "--listen", "127.0.0.1:0"])
+            .args(extra)
+            .stderr(std::process::Stdio::null());
+        Daemon::start(cmd)
+    }
+
+    /// Starts `cmd` and reads the daemon's address from its banner.
+    fn start(mut cmd: Command) -> Daemon {
+        let mut child = cmd
             .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::null())
             .spawn()
             .expect("spawn daemon");
         let stdout = child.stdout.take().expect("daemon stdout");
@@ -811,4 +823,113 @@ fn serve_concurrent_queries_match_one_shot() {
 
     let (_, _, code) = daemon.query(&["shutdown"]);
     assert_eq!(code, 0);
+}
+
+/// `reports[*].serving` nulled: the only part of a response that may
+/// differ between a cache miss and its replays.
+fn without_serving(resp: &trigon::Json) -> trigon::Json {
+    let mut resp = resp.clone();
+    let reports = match resp.get("reports") {
+        Some(trigon::Json::Array(reports)) => reports
+            .iter()
+            .map(|r| {
+                let mut r = r.clone();
+                r.set("serving", trigon::Json::Null);
+                r
+            })
+            .collect(),
+        other => panic!("expected reports, got {other:?}"),
+    };
+    resp.set("reports", trigon::Json::Array(reports));
+    resp
+}
+
+/// Back-to-back requests on one persistent connection must not wait on
+/// delayed ACKs: a response written in two pieces cost ~40 ms each.
+#[test]
+fn serve_back_to_back_cache_hits_on_one_connection_do_not_stall() {
+    use trigon::serve::Wire;
+    for (wire, flags) in [(Wire::Framed, &[][..]), (Wire::Ndjson, &["--ndjson"][..])] {
+        let daemon = Daemon::spawn_with(flags);
+        let stream = std::net::TcpStream::connect(&daemon.addr).expect("connect");
+        stream.set_nodelay(true).expect("TCP_NODELAY");
+        let mut reader = std::io::BufReader::new(&stream);
+        let mut call = |req: &str| {
+            let req = trigon::Json::parse(req).expect("request parses");
+            wire.write_msg(&mut &stream, &req).expect("send");
+            wire.read_msg(&mut reader)
+                .expect("receive")
+                .expect("a response")
+        };
+        let resp = call(r#"{"op":"load","name":"g","gen":"gnp","n":300,"seed":3}"#);
+        assert_eq!(resp.get("ok"), Some(&trigon::Json::Bool(true)), "{resp:?}");
+        let query = r#"{"op":"query","graph":"g","workload":"triangles","method":"cpu-fast"}"#;
+        let miss = without_serving(&call(query));
+
+        let start = std::time::Instant::now();
+        let hits: Vec<trigon::Json> = (0..50).map(|_| call(query)).collect();
+        let elapsed = start.elapsed();
+
+        for hit in &hits {
+            let cache = match hit.get("reports") {
+                Some(trigon::Json::Array(r)) => r[0].get("serving").and_then(|s| s.get("cache")),
+                _ => None,
+            };
+            assert_eq!(cache, Some(&trigon::Json::from("hit")), "{wire:?}");
+            assert_eq!(without_serving(hit), miss, "{wire:?}: a hit diverged");
+        }
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "{wire:?}: 50 cache hits took {elapsed:?}"
+        );
+        call(r#"{"op":"shutdown"}"#);
+    }
+}
+
+/// Running out of file descriptors fails `accept`; the daemon must log
+/// it, keep retrying, and answer again once clients hang up.
+#[cfg(unix)]
+#[test]
+fn serve_survives_running_out_of_file_descriptors() {
+    use std::io::BufRead as _;
+    let mut cmd = Command::new("sh");
+    cmd.args([
+        "-c",
+        r#"ulimit -n 32 && exec "$0" serve --listen 127.0.0.1:0"#,
+        env!("CARGO_BIN_EXE_trigon"),
+    ])
+    .stderr(std::process::Stdio::piped());
+    let mut daemon = Daemon::start(cmd);
+    let stderr = daemon.child.stderr.take().expect("daemon stderr");
+    let (tx, rx) = std::sync::mpsc::channel();
+    // Keep draining stderr so the daemon's retry log never blocks.
+    let drain = std::thread::spawn(move || {
+        for line in std::io::BufReader::new(stderr)
+            .lines()
+            .map_while(Result::ok)
+        {
+            let _ = tx.send(line);
+        }
+    });
+
+    let idle: Vec<std::net::TcpStream> = (0..40)
+        .map(|_| std::net::TcpStream::connect(&daemon.addr).expect("connect"))
+        .collect();
+    loop {
+        let line = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the daemon logs its failed accept");
+        if line.contains("accept failed") {
+            break;
+        }
+    }
+    drop(idle);
+
+    let (_, stderr, code) = daemon.query(&["list"]);
+    assert_eq!(code, 0, "{stderr}");
+    let (_, stderr, code) = daemon.query(&["shutdown"]);
+    assert_eq!(code, 0, "{stderr}");
+    let status = daemon.child.wait().expect("daemon exits");
+    assert!(status.success(), "{status}");
+    drain.join().expect("stderr drain");
 }
