@@ -6,8 +6,22 @@ use std::hint::black_box;
 use trigon_bench::{fig10_graph, fig11_graph};
 use trigon_core::count;
 use trigon_core::gpu_exec::{self, GpuConfig};
+use trigon_core::{Collector, CountKernel, Tracer};
 use trigon_gpu_sim::DeviceSpec;
-use trigon_graph::triangles;
+use trigon_graph::{triangles, Graph};
+
+/// One simulated triangle count, end to end.
+fn gpu_triangles(g: &Graph, cfg: &GpuConfig) -> u64 {
+    let (r, _) = gpu_exec::run_workload_traced(
+        g,
+        cfg,
+        &CountKernel,
+        &mut Collector::disabled(),
+        &Tracer::disabled(),
+    )
+    .unwrap();
+    r.triangles
+}
 
 fn cpu_reference_algorithms(c: &mut Criterion) {
     let mut group = c.benchmark_group("cpu_reference");
@@ -50,31 +64,23 @@ fn simulated_gpu(c: &mut Criterion) {
     group.sample_size(10);
     let g = fig10_graph(400);
     group.bench_function("exhaustive_naive_n400", |b| {
-        b.iter(|| {
-            black_box(
-                gpu_exec::run(&g, &GpuConfig::naive(DeviceSpec::c1060()))
-                    .unwrap()
-                    .triangles,
-            )
-        });
+        b.iter(|| black_box(gpu_triangles(&g, &GpuConfig::naive(DeviceSpec::c1060()))));
     });
     group.bench_function("exhaustive_optimized_n400", |b| {
         b.iter(|| {
-            black_box(
-                gpu_exec::run(&g, &GpuConfig::optimized(DeviceSpec::c1060()))
-                    .unwrap()
-                    .triangles,
-            )
+            black_box(gpu_triangles(
+                &g,
+                &GpuConfig::optimized(DeviceSpec::c1060()),
+            ))
         });
     });
     let big = fig11_graph(10_000);
     group.bench_function("sampled_optimized_n10000", |b| {
         b.iter(|| {
-            black_box(
-                gpu_exec::run(&big, &GpuConfig::optimized(DeviceSpec::c1060()).sampled())
-                    .unwrap()
-                    .triangles,
-            )
+            black_box(gpu_triangles(
+                &big,
+                &GpuConfig::optimized(DeviceSpec::c1060()).sampled(),
+            ))
         });
     });
     group.finish();

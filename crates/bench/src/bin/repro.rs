@@ -24,17 +24,17 @@
 use std::io::Write as _;
 use trigon_bench::{fig10_graph, fig10_sizes, fig11_graph, fig11_sizes};
 use trigon_core::gpu_exec::GpuConfig;
-use trigon_core::{table2, Analysis, LayoutKind, Method, RunReport};
+use trigon_core::{table2, LayoutKind, Method, Run, RunReport};
 use trigon_gpu_sim::coalesce::{nonsequential_pattern, sequential_pattern};
 use trigon_gpu_sim::{warp_transactions, ComputeCapability, DeviceSpec};
 use trigon_graph::Graph;
 
 /// Runs one pipeline configuration and returns its [`RunReport`].
 fn run(g: &Graph, method: Method) -> RunReport {
-    Analysis::new(g)
+    Run::new(g)
         .method(method)
         .device(DeviceSpec::c1060())
-        .run()
+        .execute()
         .expect("pipeline run")
 }
 
@@ -47,20 +47,20 @@ fn run_with_als(
     als: &std::sync::Arc<Vec<trigon_core::als::Als>>,
     method: Method,
 ) -> RunReport {
-    Analysis::new(g)
+    Run::new(g)
         .method(method)
         .device(DeviceSpec::c1060())
         .prebuilt_als(std::sync::Arc::clone(als))
-        .run()
+        .execute()
         .expect("pipeline run")
 }
 
 /// Runs with a fully explicit GPU configuration.
 fn run_cfg(g: &Graph, cfg: GpuConfig) -> RunReport {
-    Analysis::new(g)
+    Run::new(g)
         .method(Method::GpuOptimized)
         .gpu_config(cfg)
-        .run()
+        .execute()
         .expect("pipeline run")
 }
 
@@ -450,11 +450,11 @@ fn workloads_cmd(out: &Output) {
 fn trace_capture(out: &Output) {
     out.section("Trace: gpu-opt run at n = 1000, Chrome trace export");
     let g = fig10_graph(1000);
-    let r = Analysis::new(&g)
+    let r = Run::new(&g)
         .method(Method::GpuOptimized)
         .device(DeviceSpec::c1060())
         .telemetry(trigon_core::Level::Trace)
-        .run()
+        .execute()
         .expect("pipeline run");
     std::fs::create_dir_all("bench_out").expect("create bench_out");
     let path = "bench_out/BENCH_trace.json";

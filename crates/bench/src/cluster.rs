@@ -7,7 +7,7 @@
 //! cluster determinism gate. `repro cluster` renders both tables and
 //! writes the document to `bench_out/BENCH_cluster.json`.
 
-use trigon_core::{Analysis, ClusterSpec, Json, Level, Method};
+use trigon_core::{ClusterSpec, Json, Level, Method, Run};
 use trigon_graph::{gen, triangles, Graph};
 
 use crate::suites::SEED;
@@ -110,11 +110,11 @@ pub struct ClusterOutcome {
 fn run_point(g: &Graph, nodes: usize, base_makespan: u64) -> ClusterPoint {
     let expect = triangles::count_edge_iterator(g);
     let spec = ClusterSpec::parse(&format!("{nodes}xC2050")).expect("cluster spec");
-    let report = Analysis::new(g)
+    let report = Run::new(g)
         .method(Method::GpuOptimized)
         .cluster(spec)
         .telemetry(Level::Off)
-        .run()
+        .execute()
         .expect("cluster run");
     assert_eq!(
         report.count, expect,

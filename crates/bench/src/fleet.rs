@@ -7,7 +7,7 @@
 //! fleet` renders the table and writes the document to
 //! `bench_out/BENCH_fleet.json`.
 
-use trigon_core::{Analysis, FleetSpec, Json, Level, Method};
+use trigon_core::{FleetSpec, Json, Level, Method, Run};
 use trigon_graph::{gen, triangles, Graph};
 
 use crate::suites::SEED;
@@ -72,11 +72,11 @@ pub fn run_fleet_scaling() -> FleetOutcome {
     let mut base_makespan = 0u64;
     for d in 1..=FLEET_MAX_DEVICES {
         let spec = format!("{d}xC2050");
-        let report = Analysis::new(&g)
+        let report = Run::new(&g)
             .method(Method::GpuOptimized)
             .fleet(FleetSpec::parse(&spec).expect("fleet spec"))
             .telemetry(Level::Off)
-            .run()
+            .execute()
             .expect("fleet run");
         assert_eq!(
             report.count, expect,

@@ -15,7 +15,7 @@
 //!   backends exist for falls out of the same rows: `cpu` vs
 //!   `cpu-intersect` and `gpu-opt` vs `gpu-intersect`, asserted
 //!   strictly faster at fig10 n ≥ 1200;
-//! * telemetry overhead — the same `Analysis` run at `Level::Off` vs
+//! * telemetry overhead — the same `Run` at `Level::Off` vs
 //!   `Level::Standard`;
 //! * pool dispatch cost — nanoseconds per `par_iter` round-trip on a
 //!   tiny input, which is pure submit/wake/join overhead;
@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use rayon::ThreadPool;
 use trigon_core::count::{als_fast, als_fast_parallel};
-use trigon_core::{Analysis, Json, Level, Method};
+use trigon_core::{Json, Level, Method, Run};
 use trigon_graph::Graph;
 
 use crate::suites::{fig10_graph, fig11_graph};
@@ -175,11 +175,11 @@ fn measure_graph(g: &Graph, methods: &[Method], reps: u32, sweep: &[usize]) -> V
     }
     for &m in methods {
         let (ns, count) = time_best(1, || {
-            let mut a = Analysis::new(g).method(m).telemetry(Level::Off);
+            let mut a = Run::new(g).method(m).telemetry(Level::Off);
             if m != Method::Hybrid {
                 a = a.prebuilt_als(std::sync::Arc::clone(&als));
             }
-            a.run()
+            a.execute()
                 .unwrap_or_else(|e| panic!("{} run: {e}", m.label()))
                 .count
         });
@@ -257,10 +257,10 @@ fn graph_json(n: u32, samples: &[Sample]) -> Json {
 fn telemetry_overhead(g: &Graph) -> Json {
     let run_at = |level: Level| {
         time_best(3, || {
-            Analysis::new(g)
+            Run::new(g)
                 .method(Method::CpuFast)
                 .telemetry(level)
-                .run()
+                .execute()
                 .expect("analysis run")
                 .count
         })

@@ -20,7 +20,7 @@
 //!
 //! [`ProfileSection`]: trigon_core::ProfileSection
 
-use trigon_core::{Analysis, FleetSpec, Json, Level, Method, ProfileSection, RunReport};
+use trigon_core::{FleetSpec, Json, Level, Method, ProfileSection, Run, RunReport};
 
 use crate::suites::fig10_graph;
 
@@ -86,10 +86,10 @@ pub fn run_profile_on(sizes: &[u32], baseline: Option<&str>) -> ProfileOutcome {
         let g = fig10_graph(n);
         let mut expect: Option<u64> = None;
         for (label, method) in METHODS {
-            let r = Analysis::new(&g)
+            let r = Run::new(&g)
                 .method(method)
                 .telemetry(Level::Off)
-                .run()
+                .execute()
                 .expect("profile run");
             assert_eq!(
                 *expect.get_or_insert(r.count),
@@ -98,11 +98,11 @@ pub fn run_profile_on(sizes: &[u32], baseline: Option<&str>) -> ProfileOutcome {
             );
             points.push(profile_point(label, n, &r));
         }
-        let r = Analysis::new(&g)
+        let r = Run::new(&g)
             .method(Method::GpuOptimized)
             .fleet(FleetSpec::parse("2xC1060").expect("fleet spec"))
             .telemetry(Level::Off)
-            .run()
+            .execute()
             .expect("fleet profile run");
         assert_eq!(
             expect,

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use trigon_core::als::Als;
-use trigon_core::{Analysis, Json, Level, Method, RunReport, Workload, WorkloadSection};
+use trigon_core::{Json, Level, Method, Run, RunReport, Workload, WorkloadSection};
 use trigon_graph::Graph;
 
 use crate::suites::fig10_graph;
@@ -63,7 +63,7 @@ pub struct WorkloadsOutcome {
 }
 
 fn run(g: &Graph, als: Option<&Arc<Vec<Als>>>, w: Workload, m: Method) -> RunReport {
-    let mut a = Analysis::new(g).workload(w).method(m).telemetry(Level::Off);
+    let mut a = Run::new(g).workload(w).method(m).telemetry(Level::Off);
     if let Some(als) = als {
         a = a.prebuilt_als(Arc::clone(als));
     }

@@ -251,11 +251,20 @@ pub fn build_als_for_tree(
     out
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`build_als`] calls on this thread, read by the tests that pin one
+    /// decomposition per run.
+    pub(crate) static BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Builds the full ALS list of a graph: BFS forest rooted at each
 /// component's smallest vertex, one shared [`LevelMap`] for O(1)
 /// membership, then per-tree ALS construction.
 #[must_use]
 pub fn build_als(g: &Graph) -> Vec<Als> {
+    #[cfg(test)]
+    BUILDS.with(|b| b.set(b.get() + 1));
     let comps = trigon_graph::connected_components(g);
     let mut trees = Vec::with_capacity(comps.len());
     let mut map = LevelMap::new(g.n());

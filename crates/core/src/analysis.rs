@@ -1,5 +1,4 @@
-//! The [`Run`] builder (aliased as [`Analysis`]) — the one entry point
-//! of the pipeline.
+//! The [`Run`] builder — the one entry point of the pipeline.
 //!
 //! Every way of running the paper's machinery (CPU baselines, naive and
 //! primitive-optimized simulated GPU, sampled fidelity, the hybrid
@@ -48,13 +47,21 @@
 //! on: [`Run::fleet`] routes the GPU methods through
 //! [`crate::multi::run_fleet_workload`], and [`Run::device_loss`]
 //! injects deterministic device failures into that fleet.
+//!
+//! [`Run::execute`] checks every configuration against one capability
+//! table (what each method's executor accepts, what each workload
+//! needs) before anything runs, then builds the graph's ALS
+//! decomposition once — or takes [`Run::prebuilt_als`] — and hands the
+//! same slice to the executor and to the Eq. 6 prediction.
 
+use crate::als::{build_als, Als};
 use crate::cluster;
 use crate::error::Error;
 use crate::gpu_exec::{self, GpuConfig};
 use crate::gpu_kcount::run_k_cliques_workload_traced;
-use crate::hybrid::{run_hybrid_collected, run_hybrid_workload_traced, HybridConfig};
+use crate::hybrid::{run_hybrid_workload_traced, HybridConfig};
 use crate::multi;
+use crate::pipeline;
 use crate::report::{
     Eq6Section, FaultsSection, GpuSection, HybridSection, ProfileSection, RunReport,
     WorkloadSection,
@@ -65,7 +72,7 @@ use crate::workload::{
     transitivity_from_count, triangle_checksum, ChunkKernel, ClusteringKernel, CountKernel,
     EnumerateKernel, KTrussKernel, Workload,
 };
-use crate::{count, pipeline};
+use std::sync::Arc;
 use trigon_fleet::{ClusterSpec, FleetSpec, LossPlan, PartitionStrategy};
 use trigon_gpu_sim::{DeviceSpec, FaultConfig, FaultOutcome};
 use trigon_graph::Graph;
@@ -97,14 +104,36 @@ pub enum Method {
     /// profiler (coalesced row scans, scattered galloping probes,
     /// bitmap bank conflicts). Triangles only.
     GpuSimIntersect,
-    /// Simulated-GPU k-clique counting (§III extensions).
-    KCliques(u32),
+}
+
+/// One row of the capability table: what a method's executor accepts.
+#[derive(Debug, Clone, Copy)]
+struct MethodCaps {
+    /// Runs on the simulated device rather than the host.
+    device: bool,
+    /// Workloads the executor computes, by [`Workload::label`].
+    workloads: &'static [&'static str],
+    /// Shards across a device fleet or a cluster.
+    placement: bool,
+    /// Fault kinds the executor injects and recovers from.
+    faults: &'static [&'static str],
+}
+
+/// What a workload needs of any method that runs it.
+#[derive(Debug, Clone, Copy)]
+struct WorkloadCaps {
+    /// The `k` it takes, which must be at least 2.
+    k: Option<u32>,
+    /// Runs on one device only (no fleet or cluster).
+    single_device: bool,
+    /// Accepts fault injection.
+    faults: bool,
 }
 
 impl Method {
-    /// Every parameterless method, in canonical order — the list sweeps
-    /// (e.g. `repro perf`) derive their strategy axis from, so a new
-    /// variant shows up in the head-to-head automatically.
+    /// Every method, in canonical order — the list sweeps (e.g. `repro
+    /// perf`) derive their strategy axis from, so a new variant shows up
+    /// in the head-to-head automatically.
     pub const ALL: [Method; 8] = [
         Method::CpuExhaustive,
         Method::CpuFast,
@@ -115,6 +144,35 @@ impl Method {
         Method::GpuSimIntersect,
         Method::Hybrid,
     ];
+
+    /// The method's row of the capability table [`Run::execute`]
+    /// validates every configuration against.
+    fn caps(self) -> MethodCaps {
+        const EVERY: &[&str] = &["triangles", "kcount", "clustering", "ktruss", "enumerate"];
+        // k-clique counting needs the widened C(k,2)-test kernel, which
+        // only the combination simulators have.
+        const NOT_KCOUNT: &[&str] = &["triangles", "clustering", "ktruss", "enumerate"];
+        const TRIANGLES: &[&str] = &["triangles"];
+        const ALL_FAULTS: &[&str] = &["ecc", "xfer", "abort", "stall"];
+        let (device, workloads, placement, faults): (bool, _, bool, &'static [&'static str]) =
+            match self {
+                Method::CpuExhaustive | Method::CpuFast => (false, NOT_KCOUNT, false, &[]),
+                Method::CpuIntersect => (false, TRIANGLES, false, &[]),
+                Method::GpuNaive | Method::GpuOptimized | Method::GpuSampled => {
+                    (true, EVERY, true, ALL_FAULTS)
+                }
+                Method::GpuSimIntersect => (true, TRIANGLES, true, ALL_FAULTS),
+                // The hybrid kernel is analytic and counts host-side: there
+                // are no device chunk results to corrupt, only transfers.
+                Method::Hybrid => (true, NOT_KCOUNT, false, &["xfer"]),
+            };
+        MethodCaps {
+            device,
+            workloads,
+            placement,
+            faults,
+        }
+    }
 
     /// Whether the method's work scales with the *combination space*
     /// (Algorithm 2 candidate enumeration) rather than with edges —
@@ -160,18 +218,41 @@ impl Method {
             Method::GpuSampled => "gpu-sampled",
             Method::GpuSimIntersect => "gpu-intersect",
             Method::Hybrid => "hybrid",
-            Method::KCliques(_) => "kcliques",
         }
     }
 
     /// Whether the method runs on the simulated device.
     #[must_use]
     pub fn uses_device(&self) -> bool {
-        !matches!(
-            self,
-            Method::CpuExhaustive | Method::CpuFast | Method::CpuIntersect
-        )
+        self.caps().device
     }
+}
+
+impl WorkloadCaps {
+    /// The workload's row of the capability table.
+    fn of(workload: Workload) -> Self {
+        let (k, single_device, faults) = match workload {
+            Workload::Triangles | Workload::Clustering | Workload::Enumerate => (None, false, true),
+            Workload::KCliques(k) => (Some(k), true, false),
+            Workload::KTruss(k) => (Some(k), false, true),
+        };
+        Self {
+            k,
+            single_device,
+            faults,
+        }
+    }
+}
+
+/// The labels of every method whose capability row passes `keep`,
+/// comma-separated — the alternatives a rejection names.
+fn methods_where(keep: impl Fn(MethodCaps) -> bool) -> String {
+    Method::ALL
+        .iter()
+        .filter(|m| keep(m.caps()))
+        .map(Method::label)
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 /// Builder for one pipeline run. See the [module docs](self).
@@ -193,12 +274,8 @@ pub struct Run<'g> {
     cluster: Option<ClusterSpec>,
     partition: PartitionStrategy,
     node_loss: Option<LossPlan>,
-    prebuilt_als: Option<std::sync::Arc<Vec<crate::als::Als>>>,
+    prebuilt_als: Option<Arc<Vec<Als>>>,
 }
-
-/// The builder's original name, kept as an alias; [`Run`] is the
-/// canonical spelling since the workload generalization.
-pub type Analysis<'g> = Run<'g>;
 
 impl<'g> Run<'g> {
     /// Starts a builder with defaults: [`Workload::Triangles`] via
@@ -229,20 +306,17 @@ impl<'g> Run<'g> {
 
     /// Supplies prebuilt ALS artifacts (the output of
     /// [`crate::als::build_als`] for this exact graph, behind an `Arc`
-    /// so a registry can share one copy across runs). The CPU, single
-    /// simulated-device, and fleet executors then skip the per-run
-    /// BFS/`LevelMap`/ALS construction and go straight to dispatch;
-    /// counts are bit-identical to a cold run. The hybrid, k-clique,
-    /// and cluster paths build their own decomposition and ignore this.
+    /// so a registry can share one copy across runs). Every executor
+    /// then skips the per-run BFS/`LevelMap`/ALS construction and goes
+    /// straight to dispatch; counts are bit-identical to a cold run.
     #[must_use]
-    pub fn prebuilt_als(mut self, als: std::sync::Arc<Vec<crate::als::Als>>) -> Self {
+    pub fn prebuilt_als(mut self, als: Arc<Vec<Als>>) -> Self {
         self.prebuilt_als = Some(als);
         self
     }
 
-    /// Selects the workload — what the §VII per-ALS kernel computes.
-    /// [`Method::KCliques`] implies [`Workload::KCliques`]; everything
-    /// else defaults to [`Workload::Triangles`].
+    /// Selects the workload — what the §VII per-ALS kernel computes;
+    /// defaults to [`Workload::Triangles`].
     #[must_use]
     pub fn workload(mut self, workload: Workload) -> Self {
         self.workload = workload;
@@ -281,8 +355,8 @@ impl<'g> Run<'g> {
     }
 
     /// Supplies a fully explicit [`GpuConfig`] for the GPU methods
-    /// (its device and cost take precedence over [`Analysis::device`] /
-    /// [`Analysis::cost`]).
+    /// (its device and cost take precedence over [`Run::device`] /
+    /// [`Run::cost`]).
     #[must_use]
     pub fn gpu_config(mut self, cfg: GpuConfig) -> Self {
         self.gpu_override = Some(cfg);
@@ -309,7 +383,7 @@ impl<'g> Run<'g> {
     /// recovery policy. Only device-backed methods accept faults; the
     /// hybrid method accepts `xfer` faults only (its kernel is analytic
     /// and its counts are host-side, so ECC/abort/stall have nothing to
-    /// corrupt). [`Analysis::run`] rejects unsupported combinations with
+    /// corrupt). [`Run::execute`] rejects unsupported combinations with
     /// [`Error::BadConfig`].
     #[must_use]
     pub fn faults(mut self, faults: FaultConfig) -> Self {
@@ -318,11 +392,11 @@ impl<'g> Run<'g> {
     }
 
     /// Runs the GPU methods across a multi-device fleet instead of the
-    /// single [`Analysis::device`]: ALS shards are planned across the
+    /// single [`Run::device`]: ALS shards are planned across the
     /// roster by the outer §VI instance, the interconnect is priced,
     /// and the partial counts reduce deterministically. A one-device
     /// fleet behaves exactly like a plain run on that device. Only the
-    /// GPU methods accept a fleet; [`Analysis::run`] rejects the rest
+    /// GPU methods accept a fleet; [`Run::execute`] rejects the rest
     /// with [`Error::BadConfig`].
     #[must_use]
     pub fn fleet(mut self, fleet: FleetSpec) -> Self {
@@ -332,7 +406,7 @@ impl<'g> Run<'g> {
 
     /// Injects deterministic device loss into the fleet run: the plan's
     /// targets die at shard start and their ALS migrate to the
-    /// survivors. Requires [`Analysis::fleet`] or [`Analysis::cluster`]
+    /// survivors. Requires [`Run::fleet`] or [`Run::cluster`]
     /// (for a cluster the plan is applied inside every node's fleet).
     #[must_use]
     pub fn device_loss(mut self, loss: LossPlan) -> Self {
@@ -346,7 +420,7 @@ impl<'g> Run<'g> {
     /// device fleet, and inter-node traffic (partition uplinks,
     /// ghost-vertex exchanges) is priced on the two-tier interconnect.
     /// A one-node cluster behaves exactly like a plain fleet run on
-    /// that node's roster. Mutually exclusive with [`Analysis::fleet`];
+    /// that node's roster. Mutually exclusive with [`Run::fleet`];
     /// only the GPU methods accept a cluster.
     #[must_use]
     pub fn cluster(mut self, cluster: ClusterSpec) -> Self {
@@ -356,7 +430,7 @@ impl<'g> Run<'g> {
 
     /// Selects the cluster partition layout; defaults to
     /// [`PartitionStrategy::Auto`] (predicted communication-volume cost
-    /// picks). Ignored without [`Analysis::cluster`].
+    /// picks). Ignored without [`Run::cluster`].
     #[must_use]
     pub fn partition(mut self, strategy: PartitionStrategy) -> Self {
         self.partition = strategy;
@@ -365,7 +439,7 @@ impl<'g> Run<'g> {
 
     /// Injects deterministic node loss into the cluster run: the plan's
     /// targets die at partition time and their ALS migrate to surviving
-    /// nodes. Requires [`Analysis::cluster`].
+    /// nodes. Requires [`Run::cluster`].
     #[must_use]
     pub fn node_loss(mut self, loss: LossPlan) -> Self {
         self.node_loss = Some(loss);
@@ -384,16 +458,6 @@ impl<'g> Run<'g> {
         self
     }
 
-    /// Runs the pipeline. Alias of [`Run::execute`], kept as the
-    /// pre-workload spelling.
-    ///
-    /// # Errors
-    ///
-    /// As [`Run::execute`].
-    pub fn run(self) -> Result<RunReport, Error> {
-        self.execute()
-    }
-
     /// Runs the configured workload through the configured method and
     /// returns the unified report.
     ///
@@ -401,8 +465,8 @@ impl<'g> Run<'g> {
     ///
     /// [`Error::GraphTooLarge`] when a GPU layout exceeds the device,
     /// [`Error::BadConfig`] for invalid configuration (bad block shape,
-    /// `k < 2`, zero threads, unsupported workload/method/fault
-    /// combinations).
+    /// `k < 2`, zero threads, and every method/workload/placement/fault
+    /// combination the capability table rules out).
     pub fn execute(self) -> Result<RunReport, Error> {
         match self.threads {
             Some(0) => Err(Error::bad_config("threads must be at least 1")),
@@ -411,135 +475,108 @@ impl<'g> Run<'g> {
         }
     }
 
-    fn execute_inner(mut self) -> Result<RunReport, Error> {
-        // Method::KCliques predates Workload::KCliques; fold it in so
-        // both spellings hit the same path.
-        let workload = match (self.workload, self.method) {
-            (Workload::Triangles, Method::KCliques(k)) => Workload::KCliques(k),
-            (w, _) => w,
-        };
-        match workload {
-            Workload::KCliques(k) | Workload::KTruss(k) if k < 2 => {
-                return Err(Error::bad_config(format!(
-                    "the {} workload needs k >= 2, got {k}",
-                    workload.label()
-                )));
-            }
-            Workload::KCliques(_)
-                if !self.method.uses_device() || self.method == Method::Hybrid =>
-            {
-                return Err(Error::bad_config(
-                    "the kcount workload runs on the simulated device; pick a \
-                     gpu-* method",
-                ));
-            }
-            _ => {}
+    /// Checks the configuration against the capability table: the
+    /// method's row ([`Method::caps`]), the workload's row
+    /// ([`WorkloadCaps::of`]), and the shape of the fleet or cluster.
+    fn check_capabilities(&self) -> Result<(), Error> {
+        let (method, workload) = (self.method.label(), self.workload.label());
+        let caps = self.method.caps();
+        let wcaps = WorkloadCaps::of(self.workload);
+        if let Some(k) = wcaps.k.filter(|&k| k < 2) {
+            return Err(Error::bad_config(format!(
+                "the {workload} workload needs k >= 2, got {k}"
+            )));
         }
-        if matches!(self.method, Method::CpuIntersect | Method::GpuSimIntersect)
-            && !matches!(workload, Workload::Triangles)
-        {
-            return Err(Error::bad_config(
-                "the intersection methods count triangles only; pick a combination \
-                 method for other workloads",
-            ));
+        if !caps.workloads.contains(&workload) {
+            return Err(Error::bad_config(format!(
+                "the {method} method does not run the {workload} workload; pick one of {}",
+                methods_where(|c| c.workloads.contains(&workload))
+            )));
         }
         if let Some(fc) = self.faults.as_ref() {
+            if caps.faults.is_empty() {
+                return Err(Error::bad_config(format!(
+                    "fault injection requires a simulated-device method ({}), not {method}",
+                    methods_where(|c| !c.faults.is_empty())
+                )));
+            }
+            if !wcaps.faults {
+                return Err(Error::bad_config(format!(
+                    "fault injection is not supported on the {workload} workload"
+                )));
+            }
             let spec = fc.plan.spec();
-            match self.method {
-                Method::CpuExhaustive | Method::CpuFast | Method::CpuIntersect => {
-                    return Err(Error::bad_config(
-                        "fault injection requires a simulated-device method (gpu-*, hybrid)",
-                    ));
-                }
-                Method::KCliques(_) => {
-                    return Err(Error::bad_config(
-                        "fault injection is not supported on the k-clique path",
-                    ));
-                }
-                Method::Hybrid if spec.ecc + spec.abort + spec.stall > 0 => {
-                    return Err(Error::bad_config(
-                        "hybrid runs support only xfer faults (the hybrid kernel is \
-                         analytic; there are no device chunk results to corrupt)",
-                    ));
-                }
-                _ => {}
-            }
-            if matches!(workload, Workload::KCliques(_)) {
-                return Err(Error::bad_config(
-                    "fault injection is not supported on the k-clique path",
-                ));
+            let kinds = [
+                ("ecc", spec.ecc),
+                ("xfer", spec.xfer),
+                ("abort", spec.abort),
+                ("stall", spec.stall),
+            ];
+            if kinds
+                .iter()
+                .any(|(kind, n)| *n > 0 && !caps.faults.contains(kind))
+            {
+                return Err(Error::bad_config(format!(
+                    "{method} runs support only {} faults",
+                    caps.faults.join(", ")
+                )));
             }
         }
-        if let Some(fleet) = self.fleet.as_ref() {
-            if fleet.is_empty() {
-                return Err(Error::bad_config("a fleet needs at least one device"));
-            }
-            if !matches!(
-                self.method,
-                Method::GpuNaive
-                    | Method::GpuOptimized
-                    | Method::GpuSampled
-                    | Method::GpuSimIntersect
-            ) {
-                return Err(Error::bad_config(
-                    "a device fleet requires a gpu-* method (the fleet path shards \
-                     the simulated kernel)",
-                ));
-            }
-            if matches!(workload, Workload::KCliques(_)) {
-                return Err(Error::bad_config(
-                    "the kcount workload is single-device; drop the fleet",
-                ));
-            }
-            if self.faults.is_some() && fleet.len() > 1 {
-                return Err(Error::bad_config(
-                    "chunk-level fault injection is single-device; use a one-device \
-                     fleet with it, or --device-loss for fleet-level faults",
-                ));
-            }
-        } else if self.device_loss.is_some() && self.cluster.is_none() {
-            return Err(Error::bad_config(
-                "device loss requires a device fleet (or cluster) to lose devices from",
-            ));
-        }
-        if let Some(cluster) = self.cluster.as_ref() {
-            if cluster.is_empty() {
-                return Err(Error::bad_config("a cluster needs at least one node"));
-            }
-            if self.fleet.is_some() {
+        // The placement's name and the device count of its widest fleet
+        // (each cluster node is one fleet).
+        let placement = match (self.fleet.as_ref(), self.cluster.as_ref()) {
+            (Some(_), Some(_)) => {
                 return Err(Error::bad_config(
                     "a cluster and a fleet are mutually exclusive; the cluster spec \
                      already carries each node's device roster",
                 ));
             }
-            if !matches!(
-                self.method,
-                Method::GpuNaive
-                    | Method::GpuOptimized
-                    | Method::GpuSampled
-                    | Method::GpuSimIntersect
-            ) {
+            (Some(f), None) => Some(("a device fleet", f.len())),
+            (None, Some(c)) => Some((
+                "a cluster",
+                c.nodes().iter().map(FleetSpec::len).max().unwrap_or(0),
+            )),
+            (None, None) => None,
+        };
+        if let Some((what, widest)) = placement {
+            if widest == 0 {
+                return Err(Error::bad_config(format!(
+                    "{what} needs at least one device"
+                )));
+            }
+            if !caps.placement {
+                return Err(Error::bad_config(format!(
+                    "{what} requires a gpu-* method ({}), not {method}",
+                    methods_where(|c| c.placement)
+                )));
+            }
+            if wcaps.single_device {
+                return Err(Error::bad_config(format!(
+                    "the {workload} workload is single-device; drop {what}"
+                )));
+            }
+            if self.faults.is_some() && widest > 1 {
                 return Err(Error::bad_config(
-                    "a cluster requires a gpu-* method (the cluster path shards \
-                     the simulated kernel across nodes)",
+                    "chunk-level fault injection is single-device; use it with one-device \
+                     fleets or cluster nodes, or --device-loss/--node-loss for coarser faults",
                 ));
             }
-            if matches!(workload, Workload::KCliques(_)) {
-                return Err(Error::bad_config(
-                    "the kcount workload is single-device; drop the cluster",
-                ));
-            }
-            if self.faults.is_some() && cluster.nodes().iter().any(|f| f.len() > 1) {
-                return Err(Error::bad_config(
-                    "chunk-level fault injection on a cluster needs single-device \
-                     nodes; use --node-loss or --device-loss for coarser faults",
-                ));
-            }
-        } else if self.node_loss.is_some() {
+        }
+        if self.device_loss.is_some() && placement.is_none() {
+            return Err(Error::bad_config(
+                "device loss requires a device fleet (or cluster) to lose devices from",
+            ));
+        }
+        if self.node_loss.is_some() && self.cluster.is_none() {
             return Err(Error::bad_config(
                 "node loss requires a cluster to lose nodes from",
             ));
         }
+        Ok(())
+    }
+
+    fn execute_inner(mut self) -> Result<RunReport, Error> {
+        self.check_capabilities()?;
         let tracer = self
             .tracer
             .take()
@@ -564,13 +601,24 @@ impl<'g> Run<'g> {
                         .map_or(self.device.name, |c| c.device.name)
                         .to_string(),
                 });
+        // The one ALS decomposition of this run: every executor and the
+        // Eq. 6 prediction read this slice.
+        let built;
+        let als: &[Als] = match self.prebuilt_als.as_deref() {
+            Some(als) => als,
+            None => {
+                built = build_als(g);
+                &built
+            }
+        };
 
-        let mut report = match workload {
+        let mut report = match self.workload {
             Workload::Triangles => {
                 if matches!(self.method, Method::CpuIntersect | Method::GpuSimIntersect) {
                     // Same Partial, different per-ALS compute: the
                     // intersection kernel rides the identical executors.
                     self.run_method_kernel(
+                        als,
                         &crate::intersect::IntersectKernel,
                         true,
                         &mut collector,
@@ -578,19 +626,17 @@ impl<'g> Run<'g> {
                     )?
                     .0
                 } else {
-                    self.run_method_kernel(&CountKernel, true, &mut collector, &tracer)?
+                    self.run_method_kernel(als, &CountKernel, true, &mut collector, &tracer)?
                         .0
                 }
             }
             Workload::KCliques(k) => {
                 // The widened C(k,2)-test kernel has its own executor
                 // (combination spaces of order k); CountKernel rides it.
-                let cfg = self.gpu_config_for(match self.method {
-                    Method::KCliques(_) => Method::GpuOptimized,
-                    m => m,
-                })?;
+                let cfg = self.gpu_config_for(self.method)?;
                 let (r, _) = run_k_cliques_workload_traced(
                     g,
+                    als,
                     &cfg,
                     k,
                     &CountKernel,
@@ -623,7 +669,7 @@ impl<'g> Run<'g> {
             Workload::Clustering => {
                 let kern = ClusteringKernel::new(g);
                 let (mut report, partial) =
-                    self.run_method_kernel(&kern, false, &mut collector, &tracer)?;
+                    self.run_method_kernel(als, &kern, false, &mut collector, &tracer)?;
                 let cc = clustering_coefficients_from_counts(g, &partial);
                 report.workload = WorkloadSection::Clustering {
                     vertices: cc.len(),
@@ -635,7 +681,7 @@ impl<'g> Run<'g> {
             Workload::KTruss(k) => {
                 let kern = KTrussKernel::new(g);
                 let (mut report, partial) =
-                    self.run_method_kernel(&kern, false, &mut collector, &tracer)?;
+                    self.run_method_kernel(als, &kern, false, &mut collector, &tracer)?;
                 let peel = k_truss_from_support(g, kern.index(), &partial, k);
                 report.kind = "ktruss_edges".into();
                 report.k = k;
@@ -651,7 +697,7 @@ impl<'g> Run<'g> {
             Workload::Enumerate => {
                 let kern = EnumerateKernel;
                 let (mut report, mut partial) =
-                    self.run_method_kernel(&kern, false, &mut collector, &tracer)?;
+                    self.run_method_kernel(als, &kern, false, &mut collector, &tracer)?;
                 kern.finalize(&mut partial);
                 report.workload = WorkloadSection::Enumerate {
                     triangles: partial.len() as u64,
@@ -670,12 +716,13 @@ impl<'g> Run<'g> {
         Ok(report)
     }
 
-    /// Runs `kernel` through the configured method (everything except
-    /// the widened k-clique executor), assembling the method-side report
-    /// sections; the workload arms of [`Run::execute`] overlay their own
-    /// `workload`/`kind`/`count` afterwards.
+    /// Runs `kernel` over `als` through the configured method (everything
+    /// except the widened k-clique executor), assembling the method-side
+    /// report sections; the workload arms of [`Run::execute`] overlay
+    /// their own `workload`/`kind`/`count` afterwards.
     fn run_method_kernel<K: ChunkKernel>(
         &self,
+        als: &[Als],
         kernel: &K,
         with_eq6: bool,
         collector: &mut Collector,
@@ -689,14 +736,9 @@ impl<'g> Run<'g> {
                     Method::CpuIntersect => pipeline::CountMethod::CpuIntersect,
                     _ => pipeline::CountMethod::CpuFast,
                 };
-                let (r, partial) = match self.prebuilt_als.as_deref() {
-                    Some(als) => pipeline::run_workload_traced_with_als(
-                        g, als, cm, &self.cost, kernel, collector, tracer,
-                    )?,
-                    None => {
-                        pipeline::run_workload_traced(g, cm, &self.cost, kernel, collector, tracer)?
-                    }
-                };
+                let (r, partial) = pipeline::run_workload_traced(
+                    g, als, cm, &self.cost, kernel, collector, tracer,
+                );
                 let mut report = self.base_report(r.triangles, r.tests, r.modeled_s);
                 report.profile = Some(ProfileSection::new(r.profile));
                 Ok((report, partial))
@@ -713,6 +755,7 @@ impl<'g> Run<'g> {
                         cfg.device = spec.nodes()[0].devices()[0].clone();
                         let (r, partial, section) = cluster::run_cluster_workload(
                             g,
+                            als,
                             spec,
                             &cfg,
                             self.partition,
@@ -727,43 +770,29 @@ impl<'g> Run<'g> {
                     }
                     (None, Some(fleet)) => {
                         cfg.device = fleet.devices()[0].clone();
-                        let (r, partial, section) = match self.prebuilt_als.as_deref() {
-                            Some(als) => multi::run_fleet_workload_with_als(
-                                g,
-                                als,
-                                fleet,
-                                &cfg,
-                                self.device_loss,
-                                kernel,
-                                collector,
-                                tracer,
-                            )?,
-                            None => multi::run_fleet_workload(
-                                g,
-                                fleet,
-                                &cfg,
-                                self.device_loss,
-                                kernel,
-                                collector,
-                                tracer,
-                            )?,
-                        };
+                        let (r, partial, section) = multi::run_fleet_workload(
+                            g,
+                            als,
+                            fleet,
+                            &cfg,
+                            self.device_loss,
+                            kernel,
+                            collector,
+                            tracer,
+                        )?;
                         fleet_section = Some(section);
                         (r, partial)
                     }
-                    (None, None) => match self.prebuilt_als.as_deref() {
-                        Some(als) => gpu_exec::run_workload_traced_with_als(
-                            g, als, &cfg, kernel, collector, tracer,
-                        )?,
-                        None => gpu_exec::run_workload_traced(g, &cfg, kernel, collector, tracer)?,
-                    },
+                    (None, None) => gpu_exec::run_workload_traced_with_als(
+                        g, als, &cfg, kernel, collector, tracer,
+                    )?,
                 };
                 // Eq. 6 models one device; skip the prediction for real
                 // multi-device fleets and clusters.
                 let one_device = self.fleet.as_ref().is_none_or(|f| f.len() == 1)
                     && self.cluster.as_ref().is_none_or(|c| c.total_devices() == 1);
                 let eq6 = if with_eq6 && one_device {
-                    self.eq6_prediction(r.kernel_s, &cfg)
+                    self.eq6_prediction(als, r.kernel_s, &cfg)
                 } else {
                     None
                 };
@@ -796,7 +825,8 @@ impl<'g> Run<'g> {
                     max_roots: self.max_roots,
                     faults: self.faults,
                 };
-                let (r, partial) = run_hybrid_workload_traced(g, &cfg, kernel, collector, tracer);
+                let (r, partial) =
+                    run_hybrid_workload_traced(g, als, &cfg, kernel, collector, tracer);
                 let mut report = self.base_report(r.triangles, r.tests, r.total_s);
                 report.faults = faults_section(cfg.faults.as_ref(), r.faults.as_ref());
                 report.hybrid = Some(HybridSection {
@@ -812,7 +842,6 @@ impl<'g> Run<'g> {
                 report.profile = Some(ProfileSection::new(r.profile));
                 Ok((report, partial))
             }
-            Method::KCliques(_) => unreachable!("folded into Workload::KCliques"),
         }
     }
 
@@ -850,7 +879,12 @@ impl<'g> Run<'g> {
     /// model assigns this graph's Algorithm 1 split on this device,
     /// against the simulated kernel seconds. Skipped (None) when
     /// telemetry is off — it costs an extra analytic pass.
-    fn eq6_prediction(&self, simulated_kernel_s: f64, cfg: &GpuConfig) -> Option<Eq6Section> {
+    fn eq6_prediction(
+        &self,
+        als: &[Als],
+        simulated_kernel_s: f64,
+        cfg: &GpuConfig,
+    ) -> Option<Eq6Section> {
         if self.level == Level::Off {
             return None;
         }
@@ -860,7 +894,14 @@ impl<'g> Run<'g> {
             max_roots: self.max_roots,
             faults: None,
         };
-        let est = run_hybrid_collected(self.graph, &hybrid_cfg, &mut Collector::disabled());
+        let (est, _) = run_hybrid_workload_traced(
+            self.graph,
+            als,
+            &hybrid_cfg,
+            &CountKernel,
+            &mut Collector::disabled(),
+            &Tracer::disabled(),
+        );
         Some(Eq6Section::new(est.eq6_s, simulated_kernel_s))
     }
 
@@ -907,13 +948,6 @@ fn faults_section(
     ))
 }
 
-/// Convenience check used by examples: the exact triangle count via the
-/// fast CPU path (no report).
-#[must_use]
-pub fn quick_triangle_count(g: &Graph) -> u64 {
-    count::als_fast(g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -924,7 +958,7 @@ mod tests {
         let g = gen::gnp(120, 0.08, 6);
         let expect = triangles::count_edge_iterator(&g);
         for m in Method::ALL {
-            let r = Analysis::new(&g).method(m).run().unwrap();
+            let r = Run::new(&g).method(m).execute().unwrap();
             assert_eq!(r.count, expect, "{m:?}");
             assert_eq!(r.method, m.label());
             assert!(r.modeled_s > 0.0, "{m:?}");
@@ -932,48 +966,83 @@ mod tests {
         }
     }
 
+    /// Every configuration the capability table admits on `g`: each
+    /// method × workload × placement (one device, one- and two-device
+    /// fleets, one- and two-node clusters), pinned to one thread.
+    fn admitted_runs(g: &Graph) -> Vec<(String, Run<'_>)> {
+        let workloads = [
+            Workload::Triangles,
+            Workload::KCliques(3),
+            Workload::Clustering,
+            Workload::KTruss(3),
+            Workload::Enumerate,
+        ];
+        let placements = ["device", "1xC2050", "2xC2050", "1x(C2050)", "2x(C2050)"];
+        let mut runs = Vec::new();
+        for m in Method::ALL {
+            for w in workloads {
+                for p in placements {
+                    let mut run = Run::new(g).method(m).workload(w).threads(1);
+                    if p.contains('(') {
+                        run = run.cluster(ClusterSpec::parse(p).unwrap());
+                    } else if p != "device" {
+                        run = run.fleet(FleetSpec::parse(p).unwrap());
+                    }
+                    if run.check_capabilities().is_ok() {
+                        runs.push((format!("{} {} {p}", m.label(), w.label()), run));
+                    }
+                }
+            }
+        }
+        runs
+    }
+
+    /// Executes `run` and returns its report with the number of ALS
+    /// decompositions it built.
+    fn execute_counting_builds(run: Run<'_>) -> (RunReport, usize) {
+        crate::als::BUILDS.with(|b| b.set(0));
+        let report = run.execute().unwrap();
+        (report, crate::als::BUILDS.with(std::cell::Cell::get))
+    }
+
+    #[test]
+    fn every_admitted_run_builds_the_als_once() {
+        let g = gen::gnp(40, 0.15, 2);
+        let als = Arc::new(crate::als::build_als(&g));
+        for (label, run) in admitted_runs(&g) {
+            for level in [Level::Standard, Level::Off] {
+                let (_, cold) = execute_counting_builds(run.clone().telemetry(level));
+                assert_eq!(cold, 1, "{label} at {level:?}");
+                let (_, warm) =
+                    execute_counting_builds(run.clone().telemetry(level).prebuilt_als(als.clone()));
+                assert_eq!(warm, 0, "{label} at {level:?} with prebuilt ALS");
+            }
+        }
+    }
+
     #[test]
     fn prebuilt_als_runs_are_bit_identical_to_cold() {
-        let g = gen::gnp(150, 0.06, 8);
-        let als = std::sync::Arc::new(crate::als::build_als(&g));
-        for m in Method::ALL {
-            let cold = Analysis::new(&g).method(m).run().unwrap();
-            let warm = Analysis::new(&g)
-                .method(m)
-                .prebuilt_als(als.clone())
-                .run()
-                .unwrap();
-            assert_eq!(cold.count, warm.count, "{m:?}");
-            assert_eq!(cold.tests, warm.tests, "{m:?}");
-            assert_eq!(cold.modeled_s, warm.modeled_s, "{m:?}");
+        let g = gen::gnp(40, 0.15, 8);
+        let als = Arc::new(crate::als::build_als(&g));
+        for (label, run) in admitted_runs(&g) {
+            let cold = run.clone().execute().unwrap();
+            let warm = run.prebuilt_als(als.clone()).execute().unwrap();
+            assert_eq!(cold.count, warm.count, "{label}");
+            assert_eq!(cold.tests, warm.tests, "{label}");
+            assert_eq!(cold.modeled_s, warm.modeled_s, "{label}");
+            assert_eq!(cold.workload, warm.workload, "{label}");
+            let eq6 = |r: &RunReport| r.eq6.as_ref().map(|e| (e.predicted_s, e.simulated_s));
+            assert_eq!(eq6(&cold), eq6(&warm), "{label}");
         }
-        // The fleet path accepts the same prebuilt artifacts.
-        let fleet = FleetSpec::parse("2xC2050").unwrap();
-        let cold = Analysis::new(&g)
-            .method(Method::GpuOptimized)
-            .fleet(fleet.clone())
-            .run()
-            .unwrap();
-        let warm = Analysis::new(&g)
-            .method(Method::GpuOptimized)
-            .fleet(fleet)
-            .prebuilt_als(als)
-            .run()
-            .unwrap();
-        assert_eq!(cold.count, warm.count);
-        assert_eq!(
-            cold.fleet.unwrap().makespan_cycles,
-            warm.fleet.unwrap().makespan_cycles
-        );
     }
 
     #[test]
     fn gpu_report_is_fully_populated() {
         let g = gen::gnp(300, 0.05, 2);
-        let r = Analysis::new(&g)
+        let r = Run::new(&g)
             .method(Method::GpuOptimized)
             .device(DeviceSpec::c1060())
-            .run()
+            .execute()
             .unwrap();
         let gpu = r.gpu.expect("gpu section");
         assert!(gpu.transactions > 0);
@@ -991,7 +1060,7 @@ mod tests {
     #[test]
     fn hybrid_report_has_placement_and_eq6() {
         let g = gen::community_ring(1500, 100, 0.2, 2, 5);
-        let r = Analysis::new(&g).method(Method::Hybrid).run().unwrap();
+        let r = Run::new(&g).method(Method::Hybrid).execute().unwrap();
         let h = r.hybrid.expect("hybrid section");
         assert!(h.shared_als + h.global_als > 0);
         assert!(h.chunks > 0);
@@ -1003,7 +1072,11 @@ mod tests {
     #[test]
     fn kcliques_counts_and_reports() {
         let g = gen::gnp(40, 0.25, 1);
-        let r = Analysis::new(&g).method(Method::KCliques(4)).run().unwrap();
+        let r = Run::new(&g)
+            .method(Method::GpuOptimized)
+            .workload(Workload::KCliques(4))
+            .execute()
+            .unwrap();
         assert_eq!(r.count, crate::kcount::count_k_cliques(&g, 4));
         assert_eq!(r.kind, "cliques");
         assert_eq!(r.k, 4);
@@ -1015,10 +1088,10 @@ mod tests {
     #[test]
     fn trace_level_produces_spans_and_summary() {
         let g = gen::gnp(150, 0.06, 4);
-        let r = Analysis::new(&g)
+        let r = Run::new(&g)
             .method(Method::GpuOptimized)
             .telemetry(Level::Trace)
-            .run()
+            .execute()
             .unwrap();
         let trace = r.trace.expect("trace summary");
         assert!(trace.spans > 0);
@@ -1033,10 +1106,7 @@ mod tests {
     #[test]
     fn standard_level_records_no_trace() {
         let g = gen::gnp(80, 0.08, 1);
-        let r = Analysis::new(&g)
-            .method(Method::GpuOptimized)
-            .run()
-            .unwrap();
+        let r = Run::new(&g).method(Method::GpuOptimized).execute().unwrap();
         assert!(r.trace.is_none());
         assert_eq!(r.tracer.span_count(), 0);
     }
@@ -1044,10 +1114,10 @@ mod tests {
     #[test]
     fn telemetry_off_still_counts() {
         let g = gen::gnp(100, 0.08, 3);
-        let r = Analysis::new(&g)
+        let r = Run::new(&g)
             .method(Method::GpuOptimized)
             .telemetry(Level::Off)
-            .run()
+            .execute()
             .unwrap();
         assert_eq!(r.count, triangles::count_edge_iterator(&g));
         assert!(r.eq6.is_none(), "eq6 pass is skipped when telemetry is off");
@@ -1060,15 +1130,16 @@ mod tests {
         let g = gen::path(4);
         let mut cfg = GpuConfig::naive(DeviceSpec::c1060());
         cfg.threads_per_block = 48;
-        let err = Analysis::new(&g)
+        let err = Run::new(&g)
             .method(Method::GpuOptimized)
             .gpu_config(cfg)
-            .run()
+            .execute()
             .unwrap_err();
         assert_eq!(err.exit_code(), 2);
-        let err = Analysis::new(&g)
-            .method(Method::KCliques(1))
-            .run()
+        let err = Run::new(&g)
+            .method(Method::GpuOptimized)
+            .workload(Workload::KCliques(1))
+            .execute()
             .unwrap_err();
         assert_eq!(err.exit_code(), 2);
     }
@@ -1078,10 +1149,10 @@ mod tests {
         let mut dev = DeviceSpec::c1060();
         dev.global_mem_bytes = 64;
         let g = gen::gnp(100, 0.1, 1);
-        let err = Analysis::new(&g)
+        let err = Run::new(&g)
             .method(Method::GpuNaive)
             .device(dev)
-            .run()
+            .execute()
             .unwrap_err();
         assert!(matches!(err, Error::GraphTooLarge { .. }));
         assert_eq!(err.exit_code(), 5);

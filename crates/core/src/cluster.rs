@@ -7,8 +7,8 @@
 //!    chooses 1D-by-component or 2D-by-edge-block from a predicted
 //!    communication-volume cost model and assigns every ALS to a node;
 //! 2. **LPT across a node's devices** — each node's partition runs
-//!    through [`multi::run_fleet_workload_with_als`], the unchanged
-//!    fleet layer;
+//!    through [`multi::run_fleet_workload`], the unchanged fleet
+//!    layer;
 //! 3. **per-SM schedule** — the single-device §VI dispatch, untouched.
 //!
 //! Correctness rests on the same ALS exactness theorem as the fleet
@@ -39,14 +39,13 @@ use trigon_gpu_sim::{FaultOutcome, ProfileData};
 use trigon_graph::Graph;
 use trigon_telemetry::{AttrValue, Collector, Level, Tracer, Track};
 
-/// Runs the simulated triangle count across a cluster of nodes.
-///
-/// Convenience form of [`run_cluster_workload`] with [`CountKernel`].
+/// Runs the simulated triangle count across a cluster of nodes over the
+/// graph's whole ALS decomposition: builds it once with [`build_als`]
+/// and runs [`run_cluster_workload`] on it with [`CountKernel`].
 ///
 /// # Errors
 ///
-/// [`GpuError::GraphTooLarge`] when some node's devices cannot hold its
-/// partition.
+/// As [`run_cluster_workload`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_cluster(
     g: &Graph,
@@ -60,6 +59,7 @@ pub fn run_cluster(
 ) -> Result<(GpuRunResult, ClusterSection), GpuError> {
     run_cluster_workload(
         g,
+        &build_als(g),
         cluster,
         base,
         strategy,
@@ -72,7 +72,8 @@ pub fn run_cluster(
     .map(|(r, _, section)| (r, section))
 }
 
-/// Runs an arbitrary [`ChunkKernel`] workload across a cluster.
+/// Runs an arbitrary [`ChunkKernel`] workload across a cluster over
+/// `als`, the graph's ALS decomposition.
 ///
 /// `strategy` selects the node layout (`Auto` lets the cost model
 /// decide); `node_loss` kills whole nodes at partition time (orphaned
@@ -91,6 +92,7 @@ pub fn run_cluster(
 #[allow(clippy::too_many_arguments)]
 pub fn run_cluster_workload<K: ChunkKernel>(
     g: &Graph,
+    als: &[Als],
     cluster: &ClusterSpec,
     base: &GpuConfig,
     strategy: PartitionStrategy,
@@ -110,8 +112,16 @@ pub fn run_cluster_workload<K: ChunkKernel>(
         // delegate verbatim so the trace and report stay byte-identical
         // to a plain fleet run on that node's roster.
         debug_assert!(lost.is_empty());
-        let (r, partial, fs) =
-            multi::run_fleet_workload(g, &nodes[0], base, device_loss, kernel, collector, tracer)?;
+        let (r, partial, fs) = multi::run_fleet_workload(
+            g,
+            als,
+            &nodes[0],
+            base,
+            device_loss,
+            kernel,
+            collector,
+            tracer,
+        )?;
         let section = single_node_section(cluster, strategy, &fs, &r);
         return Ok((r, partial, section));
     }
@@ -133,14 +143,13 @@ pub fn run_cluster_workload<K: ChunkKernel>(
     tracer.set_device_clock_hz(clock0 as f64);
 
     // ---- Level 1: partition ALS across nodes. ----
-    let (als, jobs, mut plan) = {
+    let (jobs, mut plan) = {
         let _p = collector.phase("plan");
         let mut span = tracer.span("plan", "phase");
         span.attr("nodes", nodes.len());
-        let als = build_als(g);
-        let jobs = cluster_jobs(&als);
+        let jobs = cluster_jobs(als);
         let plan = plan_cluster(&jobs, &cluster.node_speeds(), &net, clock0, strategy);
-        (als, jobs, plan)
+        (jobs, plan)
     };
 
     // ---- Node loss: reshard orphans onto survivors (online Graham). ----
@@ -204,7 +213,7 @@ pub fn run_cluster_workload<K: ChunkKernel>(
         } else {
             Tracer::disabled()
         };
-        let (r, node_partial, fs) = multi::run_fleet_workload_with_als(
+        let (r, node_partial, fs) = multi::run_fleet_workload(
             g,
             &node_als,
             &nodes[n],
@@ -701,12 +710,11 @@ mod tests {
         let g = gen::gnp(300, 0.05, 3);
         let base = GpuConfig::optimized(DeviceSpec::c2050());
         let fleet = trigon_fleet::FleetSpec::parse("2xC2050").unwrap();
-        let (fr, _, _) = multi::run_fleet_workload(
+        let (fr, _) = multi::run_fleet(
             &g,
             &fleet,
             &base,
             None,
-            &CountKernel,
             &mut Collector::disabled(),
             &Tracer::disabled(),
         )

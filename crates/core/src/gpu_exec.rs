@@ -29,7 +29,7 @@
 use crate::als::{build_als, Als};
 use crate::layout::{GlobalLayout, LayoutKind};
 use crate::timemodel::CostModel;
-use crate::workload::{ChunkKernel, CountKernel};
+use crate::workload::ChunkKernel;
 use rayon::prelude::*;
 use std::collections::VecDeque;
 use trigon_combin::{equal_division, CrossMode};
@@ -287,41 +287,9 @@ struct BlockWork {
     len: u128,
 }
 
-/// Runs the simulated kernel end to end.
-///
-/// # Errors
-///
-/// [`GpuError::GraphTooLarge`] when the layout exceeds the device memory.
-pub fn run(g: &Graph, cfg: &GpuConfig) -> Result<GpuRunResult, GpuError> {
-    run_collected(g, cfg, &mut Collector::disabled())
-}
-
-/// Runs the simulated kernel end to end, recording phase timings
-/// (`layout`, `count`, `dispatch`), simulator counters, and partition
-/// traffic into `collector`.
-///
-/// # Errors
-///
-/// [`GpuError::GraphTooLarge`] when the layout exceeds the device memory.
-pub fn run_collected(
-    g: &Graph,
-    cfg: &GpuConfig,
-    collector: &mut Collector,
-) -> Result<GpuRunResult, GpuError> {
-    run_workload_traced(g, cfg, &CountKernel, collector, &Tracer::disabled()).map(|(r, _)| r)
-}
-
-/// Runs the simulated kernel for an arbitrary [`ChunkKernel`] workload,
-/// recording phase timings and — through `tracer` — a time-resolved
-/// trace: host phase spans (`layout`, `count`, `dispatch`), a PCIe
-/// transfer span, one simulated-time span per block on its assigned SM
-/// lane (with transaction and partition-camping attributes), and
-/// `block.cycles` / `block.transactions` histograms.
-///
-/// Returns the run result plus the fully-merged workload partial
-/// (reduced in canonical block order; **not** yet
-/// [finalized](ChunkKernel::finalize) — callers that stop merging here
-/// finalize it themselves).
+/// Runs the simulated kernel for an arbitrary [`ChunkKernel`] workload
+/// over the graph's whole ALS decomposition: builds it once with
+/// [`build_als`] and runs [`run_workload_traced_with_als`] on it.
 ///
 /// # Errors
 ///
@@ -333,40 +301,29 @@ pub fn run_workload_traced<K: ChunkKernel>(
     collector: &mut Collector,
     tracer: &Tracer,
 ) -> Result<(GpuRunResult, K::Partial), GpuError> {
-    assert!(
-        cfg.threads_per_block >= cfg.device.warp_size
-            && cfg.threads_per_block.is_multiple_of(cfg.device.warp_size),
-        "threads_per_block must be a positive multiple of the warp size"
-    );
-    tracer.set_device_clock_hz(cfg.device.clock_hz as f64);
-    let (als, layout) = {
-        let _p = collector.phase("layout");
-        let mut span = tracer.span("layout", "phase");
-        span.attr("kind", format!("{:?}", cfg.layout));
-        let als = build_als(g);
-        let layout = GlobalLayout::build(
-            cfg.layout,
-            g.n(),
-            &als,
-            cfg.device.partitions,
-            cfg.device.partition_width,
-        );
-        (als, layout)
-    };
-    run_prepared(g, &als, layout, cfg, kernel, collector, tracer)
+    run_workload_traced_with_als(g, &build_als(g), cfg, kernel, collector, tracer)
 }
 
-/// Runs the simulated workload kernel like [`run_workload_traced`], but
-/// over a caller-supplied ALS slice instead of the graph's full
-/// decomposition — the entry point a multi-device fleet uses to run one
-/// *shard* (the subset of adjacent level sets assigned to one device).
+/// Runs the simulated kernel for an arbitrary [`ChunkKernel`] workload
+/// over `als` — the graph's whole decomposition, or the *shard* (subset
+/// of adjacent level sets) a multi-device fleet assigns to one device.
 /// The layout is built over exactly these sets, so the Eq. 1 capacity
-/// check applies per shard.
+/// check applies per shard. Records phase timings and — through
+/// `tracer` — a time-resolved trace: host phase spans (`layout`,
+/// `count`, `dispatch`), a PCIe transfer span, one simulated-time span
+/// per block on its assigned SM lane (with transaction and
+/// partition-camping attributes), and `block.cycles` /
+/// `block.transactions` histograms.
+///
+/// Returns the run result plus the fully-merged workload partial
+/// (reduced in canonical block order; **not** yet
+/// [finalized](ChunkKernel::finalize) — callers that stop merging here
+/// finalize it themselves).
 ///
 /// # Errors
 ///
-/// [`GpuError::GraphTooLarge`] when the shard's layout exceeds the
-/// device memory.
+/// [`GpuError::GraphTooLarge`] when the layout exceeds the device
+/// memory.
 pub fn run_workload_traced_with_als<K: ChunkKernel>(
     g: &Graph,
     als: &[Als],
@@ -393,21 +350,6 @@ pub fn run_workload_traced_with_als<K: ChunkKernel>(
             cfg.device.partition_width,
         )
     };
-    run_prepared(g, als, layout, cfg, kernel, collector, tracer)
-}
-
-/// The shared tail of the workload entry points: capacity check, block
-/// simulation, §VI dispatch, and result assembly over an already-built
-/// ALS slice and layout.
-fn run_prepared<K: ChunkKernel>(
-    g: &Graph,
-    als: &[Als],
-    layout: GlobalLayout,
-    cfg: &GpuConfig,
-    kernel: &K,
-    collector: &mut Collector,
-    tracer: &Tracer,
-) -> Result<(GpuRunResult, K::Partial), GpuError> {
     if layout.total_bytes() > cfg.device.global_mem_bytes {
         return Err(GpuError::GraphTooLarge {
             needed: layout.total_bytes(),
@@ -1433,10 +1375,22 @@ fn simulate_intersect<K: ChunkKernel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::CountKernel;
     use trigon_graph::{gen, triangles};
 
     fn c1060() -> DeviceSpec {
         DeviceSpec::c1060()
+    }
+
+    fn run(g: &Graph, cfg: &GpuConfig) -> Result<GpuRunResult, GpuError> {
+        run_workload_traced(
+            g,
+            cfg,
+            &CountKernel,
+            &mut Collector::disabled(),
+            &Tracer::disabled(),
+        )
+        .map(|(r, _)| r)
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! combination spaces to `k`. Memory traffic is priced with the same
 //! coalescing/partition machinery as the triangle kernel.
 
-use crate::als::build_als;
+use crate::als::Als;
 use crate::gpu_exec::{GpuConfig, GpuError};
 use crate::layout::{GlobalLayout, LayoutKind};
-use crate::workload::{ChunkKernel, CountKernel};
+use crate::workload::ChunkKernel;
 use rayon::prelude::*;
 use trigon_combin::equal_division;
 use trigon_gpu_sim::{
@@ -42,34 +42,12 @@ pub struct KCliqueRunResult {
     pub profile: ProfileData,
 }
 
-/// Runs the simulated k-clique kernel exhaustively (small graphs; the
-/// space is `Σ C(a+b, k)`).
-///
-/// # Errors
-///
-/// [`GpuError::GraphTooLarge`] when the layout exceeds the device.
-///
-/// Runs the simulated k-clique kernel, recording phase timings and
-/// simulator counters into `collector`.
-///
-/// # Errors
-///
-/// [`GpuError::GraphTooLarge`] when the layout exceeds the device.
-///
-/// # Panics
-///
-/// Panics if `k < 2`.
-pub fn run_k_cliques_collected(
-    g: &Graph,
-    cfg: &GpuConfig,
-    k: u32,
-    collector: &mut Collector,
-) -> Result<KCliqueRunResult, GpuError> {
-    run_k_cliques_traced(g, cfg, k, collector, &Tracer::disabled())
-}
-
-/// Runs the simulated k-clique kernel like [`run_k_cliques_collected`],
-/// additionally recording host phase spans, the PCIe transfer span, and
+/// Runs the simulated k-clique kernel exhaustively over `als` (small
+/// graphs; the space is `Σ C(a+b, k)`) for an arbitrary [`ChunkKernel`]
+/// workload. `kernel.emit` fires once per combination passing the
+/// `C(k,2)`-edge test, with the ALS-local combination; the per-block
+/// partials are merged in canonical work-list order and returned
+/// unfinalized. Records host phase spans, the PCIe transfer span, and
 /// one simulated-time span per LPT-scheduled block on its SM lane into
 /// `tracer`.
 ///
@@ -80,32 +58,9 @@ pub fn run_k_cliques_collected(
 /// # Panics
 ///
 /// Panics if `k < 2`.
-pub fn run_k_cliques_traced(
-    g: &Graph,
-    cfg: &GpuConfig,
-    k: u32,
-    collector: &mut Collector,
-    tracer: &Tracer,
-) -> Result<KCliqueRunResult, GpuError> {
-    run_k_cliques_workload_traced(g, cfg, k, &CountKernel, collector, tracer).map(|(r, _)| r)
-}
-
-/// Runs the simulated k-clique kernel for an arbitrary [`ChunkKernel`]
-/// workload — the generic form of [`run_k_cliques_traced`], which it
-/// implements with [`CountKernel`]. `kernel.emit` fires once per
-/// combination passing the `C(k,2)`-edge test, with the ALS-local
-/// combination; the per-block partials are merged in canonical work-list
-/// order and returned unfinalized. The timing model is untouched.
-///
-/// # Errors
-///
-/// [`GpuError::GraphTooLarge`] when the layout exceeds the device.
-///
-/// # Panics
-///
-/// Panics if `k < 2`.
 pub fn run_k_cliques_workload_traced<K: ChunkKernel>(
     g: &Graph,
+    als: &[Als],
     cfg: &GpuConfig,
     k: u32,
     kernel: &K,
@@ -115,18 +70,16 @@ pub fn run_k_cliques_workload_traced<K: ChunkKernel>(
     assert!(k >= 2, "k-cliques need k ≥ 2");
     let spec = &cfg.device;
     tracer.set_device_clock_hz(spec.clock_hz as f64);
-    let (als, layout) = {
+    let layout = {
         let _p = collector.phase("layout");
         let _s = tracer.span("layout", "phase");
-        let als = build_als(g);
-        let layout = GlobalLayout::build(
+        GlobalLayout::build(
             cfg.layout,
             g.n(),
-            &als,
+            als,
             spec.partitions,
             spec.partition_width,
-        );
-        (als, layout)
+        )
     };
     if layout.total_bytes() > spec.global_mem_bytes {
         return Err(GpuError::GraphTooLarge {
@@ -330,7 +283,9 @@ pub fn run_k_cliques_workload_traced<K: ChunkKernel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::als::build_als;
     use crate::kcount;
+    use crate::workload::CountKernel;
     use trigon_combin::binom;
     use trigon_gpu_sim::DeviceSpec;
     use trigon_graph::gen;
@@ -340,7 +295,16 @@ mod tests {
     }
 
     fn run_k_cliques(g: &Graph, cfg: &GpuConfig, k: u32) -> Result<KCliqueRunResult, GpuError> {
-        run_k_cliques_collected(g, cfg, k, &mut Collector::disabled())
+        run_k_cliques_workload_traced(
+            g,
+            &build_als(g),
+            cfg,
+            k,
+            &CountKernel,
+            &mut Collector::disabled(),
+            &Tracer::disabled(),
+        )
+        .map(|(r, _)| r)
     }
 
     #[test]

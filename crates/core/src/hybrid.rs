@@ -46,7 +46,7 @@ pub struct HybridConfig {
     pub max_roots: usize,
     /// Deterministic fault injection. The hybrid kernel is analytic and
     /// its counts are host-side, so only `xfer` faults are meaningful
-    /// here; the [`crate::Analysis`] builder rejects the other kinds.
+    /// here; the [`crate::Run`] builder rejects the other kinds.
     pub faults: Option<FaultConfig>,
 }
 
@@ -119,42 +119,41 @@ pub fn classify_als(als: &[Als], split: &SplitResult) -> Vec<Placement> {
         .collect()
 }
 
-/// Runs the hybrid pipeline while recording phase timings (`split`,
-/// `count`), placement counters, and the shared-memory bank-conflict
-/// degree of the kernel's access pattern into `collector`.
+/// Runs the hybrid triangle count over the graph's whole ALS
+/// decomposition, recording phase timings (`split`, `count`), placement
+/// counters, and the shared-memory bank-conflict degree of the kernel's
+/// access pattern into `collector`: builds the decomposition once with
+/// [`build_als`] and runs [`run_hybrid_workload_traced`] on it.
 #[must_use]
 pub fn run_hybrid_collected(
     g: &Graph,
     cfg: &HybridConfig,
     collector: &mut Collector,
 ) -> HybridResult {
-    run_hybrid_traced(g, cfg, collector, &Tracer::disabled())
+    run_hybrid_workload_traced(
+        g,
+        &build_als(g),
+        cfg,
+        &CountKernel,
+        collector,
+        &Tracer::disabled(),
+    )
+    .0
 }
 
-/// Runs the hybrid pipeline like [`run_hybrid_collected`], additionally
-/// recording time-resolved spans into `tracer`: host `split` and
-/// `count` phase spans, the PCIe transfer span, one simulated-time span
-/// per LPT-scheduled job on its SM lane, and `chunk.nodes` /
-/// `als.tests` histograms of the §V split and ALS workloads.
-#[must_use]
-pub fn run_hybrid_traced(
-    g: &Graph,
-    cfg: &HybridConfig,
-    collector: &mut Collector,
-    tracer: &Tracer,
-) -> HybridResult {
-    run_hybrid_workload_traced(g, cfg, &CountKernel, collector, tracer).0
-}
-
-/// Runs the hybrid pipeline for an arbitrary [`ChunkKernel`] workload —
-/// the generic form of [`run_hybrid_traced`], which it implements with
-/// [`CountKernel`]. The timing model is workload-independent (it prices
-/// the §V shared/global tiers of the paper's triangle kernel); the
-/// workload partial is accumulated host-side per ALS in canonical order
-/// and returned unfinalized.
+/// Runs the hybrid pipeline over `als` (the graph's ALS decomposition)
+/// for an arbitrary [`ChunkKernel`] workload, recording time-resolved
+/// spans into `tracer`: host `split` and `count` phase spans, the PCIe
+/// transfer span, one simulated-time span per LPT-scheduled job on its
+/// SM lane, and `chunk.nodes` / `als.tests` histograms of the §V split
+/// and ALS workloads. The timing model is workload-independent (it
+/// prices the §V shared/global tiers of the paper's triangle kernel);
+/// the workload partial is accumulated host-side per ALS in canonical
+/// order and returned unfinalized.
 #[must_use]
 pub fn run_hybrid_workload_traced<K: ChunkKernel>(
     g: &Graph,
+    als: &[Als],
     cfg: &HybridConfig,
     kernel: &K,
     collector: &mut Collector,
@@ -180,8 +179,7 @@ pub fn run_hybrid_workload_traced<K: ChunkKernel>(
     }
     let count_guard = collector.phase("count");
     let count_span = tracer.span("count", "phase");
-    let als = build_als(g);
-    let placement = classify_als(&als, &split);
+    let placement = classify_als(als, &split);
 
     let warp = spec.warp_size as u128;
     // Sub-job grain: the same 64k-test blocks the exhaustive simulator
@@ -518,10 +516,17 @@ mod tests {
     fn hybrid_beats_all_global_on_deep_graphs() {
         // When most ALS stage in shared memory, the hybrid kernel should
         // beat the all-global simulated kernel (τs < τg).
-        use crate::gpu_exec::{run as gpu_run, GpuConfig};
+        use crate::gpu_exec::{run_workload_traced, GpuConfig};
         let g = gen::community_ring(2500, 150, 0.25, 3, 21);
         let h = run_hybrid(&g, &cfg());
-        let global = gpu_run(&g, &GpuConfig::optimized(DeviceSpec::c1060()).sampled()).unwrap();
+        let (global, _) = run_workload_traced(
+            &g,
+            &GpuConfig::optimized(DeviceSpec::c1060()).sampled(),
+            &CountKernel,
+            &mut Collector::disabled(),
+            &Tracer::disabled(),
+        )
+        .unwrap();
         assert!(h.shared_als > h.global_als);
         assert!(
             h.kernel_s < global.kernel_s,

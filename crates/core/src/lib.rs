@@ -35,14 +35,15 @@
 //! * [`cluster`] — the simulated cluster tier above the fleet: node
 //!   partitioning (1D by component vs 2D by edge block), ghost-vertex
 //!   materialization, and two-tier interconnect pricing;
-//! * [`pipeline`] — one-call end-to-end runs producing the reports the
-//!   benchmark harness prints;
+//! * [`pipeline`] — the host executor: Algorithm 2 over a graph's ALS
+//!   decomposition on the CPU, with modeled timing;
 //! * [`workload`] — the [`ChunkKernel`] trait: the per-ALS workload
 //!   abstraction (count, enumeration, clustering, k-truss) every
 //!   executor above is generic over;
-//! * [`analysis`] — the [`Run`] builder (aliased as [`Analysis`]), the
-//!   single entry point every front end drives, returning the unified
-//!   [`RunReport`];
+//! * [`analysis`] — the [`Run`] builder, the single entry point every
+//!   front end drives: it checks the configuration against one
+//!   capability table, builds the ALS decomposition once, and returns
+//!   the unified [`RunReport`];
 //! * [`report`] — the [`RunReport`] schema and its JSON serialization;
 //! * [`error`] — the one workspace [`Error`] type with per-variant CLI
 //!   exit codes.
@@ -69,7 +70,7 @@ pub mod timemodel;
 pub mod workload;
 
 pub use als::{build_als, Als};
-pub use analysis::{Analysis, Method, Run};
+pub use analysis::{Method, Run};
 pub use capacity::{
     max_graph_adjacency, max_graph_sutm, max_graph_utm, table2, table2_fleet, FleetRow, Table2Row,
 };
@@ -80,7 +81,7 @@ pub use gpu_kcount::KCliqueRunResult;
 pub use hybrid::{HybridConfig, HybridResult, Placement};
 pub use intersect::{IntersectKernel, IntersectStats, OrientedCsr};
 pub use layout::{GlobalLayout, LayoutKind};
-pub use multi::{run_fleet, run_fleet_workload, run_fleet_workload_with_als};
+pub use multi::{run_fleet, run_fleet_workload};
 pub use pipeline::{CountMethod, TriangleReport};
 pub use report::{
     ClusterNodeEntry, ClusterSection, Eq6Section, FleetDeviceEntry, FleetSection, GpuSection,

@@ -19,13 +19,13 @@
 //! [`gpu_exec`] run, untouched.
 //!
 //! A fleet of **one** device with no device loss delegates verbatim to
-//! [`gpu_exec::run_workload_traced`] on the caller's tracer — the trace and the
-//! report (minus the `fleet` section) are byte-identical to a plain
-//! single-device run by construction. With two or more devices each
-//! shard runs against a private sub-tracer; its SM spans are harvested
-//! onto per-device [`Track::DeviceSm`] lanes, shifted past the
-//! contended H2D upload and the D2D boundary exchange, and its
-//! histograms are merged into the fleet trace.
+//! [`gpu_exec::run_workload_traced_with_als`] on the caller's tracer —
+//! the trace and the report (minus the `fleet` section) are
+//! byte-identical to a plain single-device run by construction. With
+//! two or more devices each shard runs against a private sub-tracer;
+//! its SM spans are harvested onto per-device [`Track::DeviceSm`]
+//! lanes, shifted past the contended H2D upload and the D2D boundary
+//! exchange, and its histograms are merged into the fleet trace.
 
 use crate::als::{build_als, Als};
 use crate::gpu_exec::{self, GpuConfig, GpuError, GpuRunResult};
@@ -38,21 +38,13 @@ use trigon_gpu_sim::{DeviceSpec, ProfileData, TransferModel};
 use trigon_graph::Graph;
 use trigon_telemetry::{AttrValue, Collector, Level, Tracer, Track};
 
-/// Runs the simulated kernel across a fleet of devices.
-///
-/// Returns the aggregate [`GpuRunResult`] (for a one-device fleet: the
-/// verbatim single-device result) plus the [`FleetSection`] describing
-/// the sharding, the interconnect cycles, and the per-device partials.
-///
-/// `loss` injects deterministic device failures at shard start; orphaned
-/// ALS jobs migrate to the survivors via the online Graham step. At
-/// least one device always survives.
+/// Runs the simulated triangle count across a fleet of devices over the
+/// graph's whole ALS decomposition: builds it once with [`build_als`]
+/// and runs [`run_fleet_workload`] on it with [`CountKernel`].
 ///
 /// # Errors
 ///
-/// [`GpuError::GraphTooLarge`] when no device can hold some shard (at
-/// planning time against the byte estimate, or at layout time against
-/// the exact Eq. 1 footprint).
+/// As [`run_fleet_workload`].
 pub fn run_fleet(
     g: &Graph,
     fleet: &FleetSpec,
@@ -61,13 +53,35 @@ pub fn run_fleet(
     collector: &mut Collector,
     tracer: &Tracer,
 ) -> Result<(GpuRunResult, FleetSection), GpuError> {
-    run_fleet_workload(g, fleet, base, loss, &CountKernel, collector, tracer)
-        .map(|(r, _, section)| (r, section))
+    run_fleet_workload(
+        g,
+        &build_als(g),
+        fleet,
+        base,
+        loss,
+        &CountKernel,
+        collector,
+        tracer,
+    )
+    .map(|(r, _, section)| (r, section))
 }
 
-/// Runs an arbitrary [`ChunkKernel`] workload across a fleet of devices —
-/// the generic form of [`run_fleet`], which it implements with
-/// [`CountKernel`].
+/// Runs an arbitrary [`ChunkKernel`] workload across a fleet of devices
+/// over `als` — the graph's whole decomposition, or the partition the
+/// cluster tier assigns to one node.
+///
+/// Returns the aggregate [`GpuRunResult`] (for a one-device fleet: the
+/// verbatim single-device result) plus the [`FleetSection`] describing
+/// the sharding, the interconnect cycles, and the per-device partials.
+/// A one-device fleet runs `als` directly on the single-device executor
+/// (chunk-level fault plans pass through, exactly as in a plain run); a
+/// larger fleet shards it with the outer-LPT plan. `als` must preserve
+/// the global ALS order (the D2D boundary-exchange model reads
+/// consecutive same-component pairs).
+///
+/// `loss` injects deterministic device failures at shard start; orphaned
+/// ALS jobs migrate to the survivors via the online Graham step. At
+/// least one device always survives.
 ///
 /// The shard partials are merged in canonical device-index order via
 /// [`ChunkKernel::merge`] but *not* finalized; the caller runs
@@ -78,8 +92,10 @@ pub fn run_fleet(
 /// [`GpuError::GraphTooLarge`] when no device can hold some shard (at
 /// planning time against the byte estimate, or at layout time against
 /// the exact Eq. 1 footprint).
+#[allow(clippy::too_many_arguments)]
 pub fn run_fleet_workload<K: ChunkKernel>(
     g: &Graph,
+    als: &[Als],
     fleet: &FleetSpec,
     base: &GpuConfig,
     loss: Option<LossPlan>,
@@ -94,47 +110,6 @@ pub fn run_fleet_workload<K: ChunkKernel>(
         // One device, and LossPlan::targets never kills the last
         // survivor: delegate verbatim so the trace and report stay
         // byte-identical to a plain single-device run.
-        debug_assert!(lost.is_empty());
-        let mut cfg = base.clone();
-        cfg.device = devices[0].clone();
-        let (r, partial) = gpu_exec::run_workload_traced(g, &cfg, kernel, collector, tracer)?;
-        let als = build_als(g);
-        let section = single_device_section(&als, fleet, &cfg.device, &r);
-        return Ok((r, partial, section));
-    }
-
-    let als = build_als(g);
-    run_fleet_workload_with_als(g, &als, fleet, base, loss, kernel, collector, tracer)
-}
-
-/// Runs a [`ChunkKernel`] workload across a fleet over a caller-supplied
-/// ALS subset — the entry point the cluster tier uses to run one node's
-/// partition through the fleet layer. A one-device fleet runs the
-/// subset directly on the single-device executor (chunk-level fault
-/// plans pass through, exactly as in a plain run); a larger fleet
-/// shards the subset with the usual outer-LPT plan.
-///
-/// The subset must preserve the global ALS order (the D2D
-/// boundary-exchange model reads consecutive same-component pairs).
-///
-/// # Errors
-///
-/// [`GpuError::GraphTooLarge`] when no device can hold some shard.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fleet_workload_with_als<K: ChunkKernel>(
-    g: &Graph,
-    als: &[Als],
-    fleet: &FleetSpec,
-    base: &GpuConfig,
-    loss: Option<LossPlan>,
-    kernel: &K,
-    collector: &mut Collector,
-    tracer: &Tracer,
-) -> Result<(GpuRunResult, K::Partial, FleetSection), GpuError> {
-    let devices = fleet.devices();
-    let lost = loss.map(|l| l.targets(devices.len())).unwrap_or_default();
-
-    if devices.len() == 1 {
         debug_assert!(lost.is_empty());
         let mut cfg = base.clone();
         cfg.device = devices[0].clone();

@@ -1,28 +1,24 @@
-//! End-to-end pipeline: graph → BFS/ALS → count, with modeled timing —
-//! the entry point the examples and the benchmark harness drive.
+//! The host executor: Algorithm 2 over a graph's ALS decomposition on
+//! the CPU, with modeled timing on the paper's hardware.
 
 use crate::als::Als;
-use crate::count;
-use crate::error::Error;
-use crate::gpu_exec::{self, GpuConfig, GpuRunResult};
 use crate::timemodel::CostModel;
 use crate::workload::{compute_als_by_walk, ChunkKernel};
 use trigon_gpu_sim::{CounterSet, ProfileData};
 use trigon_graph::Graph;
 use trigon_telemetry::{Collector, Tracer};
 
-/// Which implementation counts the triangles.
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // GpuConfig is the common case; boxing would only obscure it
+/// Which host implementation counts the triangles.
+#[derive(Debug, Clone, Copy)]
 pub enum CountMethod {
     /// The paper's single-thread CPU baseline: faithful Algorithm 2
     /// combination testing. Modeled time = host prep + per-test CPU model.
     CpuExhaustive,
     /// The same ALS decomposition with the fast per-window edge iterator.
     /// Exact at any scale; modeled time still prices the *paper's*
-    /// combination-testing CPU implementation (`total_tests`), since this
-    /// path exists to make big runs feasible, not to model a different
-    /// machine.
+    /// combination-testing CPU implementation (the ALS test counts),
+    /// since this path exists to make big runs feasible, not to model a
+    /// different machine.
     CpuFast,
     /// Degree-ordered adjacency intersection per ALS window (see
     /// [`crate::intersect`]): merge/gallop/bitmap adaptive kernels,
@@ -30,11 +26,9 @@ pub enum CountMethod {
     /// *intersection operations* — the head-to-head the combination
     /// algorithm is raced against.
     CpuIntersect,
-    /// Simulated GPU (naive or optimized — see [`GpuConfig`]).
-    GpuSim(GpuConfig),
 }
 
-/// Outcome of one pipeline run.
+/// Outcome of one host run.
 #[derive(Debug, Clone)]
 pub struct TriangleReport {
     /// Vertices.
@@ -44,17 +38,14 @@ pub struct TriangleReport {
     /// Exact triangle count.
     pub triangles: u64,
     /// Algorithm 2 combination tests (performed or accounted) — or, for
-    /// the intersection methods, adjacency-intersection operations.
+    /// the intersection method, adjacency-intersection operations.
     pub tests: u128,
-    /// Modeled seconds on the paper's hardware (CPU model or GPU sim).
+    /// Modeled seconds on the paper's CPU.
     pub modeled_s: f64,
     /// Actual wall-clock seconds this Rust process spent.
     pub wall_s: f64,
-    /// GPU detail when the method was [`CountMethod::GpuSim`].
-    pub gpu: Option<GpuRunResult>,
-    /// Counter attribution per adjacent level set. CPU methods carry
-    /// the host-side test/instruction counters (no SM or memory axis);
-    /// GPU methods carry the full simulator profile.
+    /// Counter attribution per adjacent level set: the host-side
+    /// test/instruction counters (no SM or memory axis).
     pub profile: ProfileData,
 }
 
@@ -79,40 +70,15 @@ fn cpu_profile(als: &[Als]) -> ProfileData {
     profile
 }
 
-/// Runs the full pipeline for an arbitrary [`ChunkKernel`] workload,
-/// recording phase timings and simulator counters into `collector` and
-/// time-resolved spans into `tracer` (host `count` span for CPU methods,
-/// the full device timeline for GPU methods, and an `als.tests`
-/// histogram of per-window workloads on the CPU fast path).
+/// Runs an arbitrary [`ChunkKernel`] workload over `als` (exactly what
+/// [`crate::als::build_als`] produces for `g`) on the host, recording
+/// the `count` phase into `collector` and a host `count` span into
+/// `tracer` (plus an `als.tests` histogram of per-window workloads on
+/// the fast path).
 ///
 /// Returns the timing/count report together with the merged — but *not*
-/// finalized — workload partial; the caller runs [`ChunkKernel::finalize`]
-/// once after any further (e.g. fleet) merging.
-///
-/// # Errors
-///
-/// [`Error::GraphTooLarge`] for GPU runs on graphs exceeding the device.
+/// finalized — workload partial; the caller runs [`ChunkKernel::finalize`].
 pub fn run_workload_traced<K: ChunkKernel>(
-    g: &Graph,
-    method: CountMethod,
-    cost: &CostModel,
-    kernel: &K,
-    collector: &mut Collector,
-    tracer: &Tracer,
-) -> Result<(TriangleReport, K::Partial), Error> {
-    run_workload_impl(g, None, method, cost, kernel, collector, tracer)
-}
-
-/// [`run_workload_traced`] over caller-supplied prebuilt ALS — the
-/// artifact-cache entry point the serving registry and the benchmark
-/// sweeps use to skip the per-run BFS/`LevelMap`/ALS construction. The
-/// slice must be exactly what [`crate::als::build_als`] produces for
-/// `g` (same order); counts are then bit-identical to the cold path.
-///
-/// # Errors
-///
-/// [`Error::GraphTooLarge`] for GPU runs on graphs exceeding the device.
-pub fn run_workload_traced_with_als<K: ChunkKernel>(
     g: &Graph,
     als: &[Als],
     method: CountMethod,
@@ -120,72 +86,31 @@ pub fn run_workload_traced_with_als<K: ChunkKernel>(
     kernel: &K,
     collector: &mut Collector,
     tracer: &Tracer,
-) -> Result<(TriangleReport, K::Partial), Error> {
-    run_workload_impl(g, Some(als), method, cost, kernel, collector, tracer)
-}
-
-#[allow(clippy::too_many_lines)]
-fn run_workload_impl<K: ChunkKernel>(
-    g: &Graph,
-    prebuilt: Option<&[Als]>,
-    method: CountMethod,
-    cost: &CostModel,
-    kernel: &K,
-    collector: &mut Collector,
-    tracer: &Tracer,
-) -> Result<(TriangleReport, K::Partial), Error> {
-    // Reuse the caller's ALS when supplied, else build per run. The
-    // binding lives here so the borrow outlives every arm below.
-    let mut built: Vec<Als> = Vec::new();
-    fn als_for<'a>(g: &Graph, prebuilt: Option<&'a [Als]>, built: &'a mut Vec<Als>) -> &'a [Als] {
-        match prebuilt {
-            Some(a) => a,
-            None => {
-                *built = crate::als::build_als(g);
-                built
-            }
-        }
-    }
+) -> (TriangleReport, K::Partial) {
     let t0 = collector.clock().now_ns();
-    let (partial, tests, modeled_s, gpu, profile) = match method {
-        CountMethod::CpuExhaustive => {
-            let (partial, profile) = {
-                let _p = collector.phase("count");
-                let _s = tracer.span("count", "phase");
-                let als = als_for(g, prebuilt, &mut built);
+    let combination_tests = || als.iter().map(|a| a.test_count(3)).sum::<u128>();
+    let (partial, tests, profile) = {
+        let _p = collector.phase("count");
+        let _s = tracer.span("count", "phase");
+        match method {
+            CountMethod::CpuExhaustive => {
                 let partial = als.iter().fold(kernel.identity(), |acc, a| {
                     kernel.merge(acc, compute_als_by_walk(kernel, g, a))
                 });
-                (partial, cpu_profile(als))
-            };
-            let tests = count::total_tests(g);
-            let modeled = cost.host_prep_seconds(g.n(), g.m()) + cost.cpu_seconds(g.n(), tests);
-            (partial, tests, modeled, None, profile)
-        }
-        CountMethod::CpuFast => {
-            let (partial, tests, profile) = {
-                let _p = collector.phase("count");
-                let _s = tracer.span("count", "phase");
-                let als = als_for(g, prebuilt, &mut built);
+                (partial, combination_tests(), cpu_profile(als))
+            }
+            CountMethod::CpuFast => {
                 let partial = als.iter().fold(kernel.identity(), |acc, a| {
                     kernel.merge(acc, kernel.compute_als(g, a))
                 });
-                let tests = count::total_tests(g);
                 if tracer.enabled() {
                     for a in als {
                         tracer.record("als.tests", a.test_count(3) as f64);
                     }
                 }
-                (partial, tests, cpu_profile(als))
-            };
-            let modeled = cost.host_prep_seconds(g.n(), g.m()) + cost.cpu_seconds(g.n(), tests);
-            (partial, tests, modeled, None, profile)
-        }
-        CountMethod::CpuIntersect => {
-            let (partial, ops, profile) = {
-                let _p = collector.phase("count");
-                let _s = tracer.span("count", "phase");
-                let als = als_for(g, prebuilt, &mut built);
+                (partial, combination_tests(), cpu_profile(als))
+            }
+            CountMethod::CpuIntersect => {
                 let mut profile = ProfileData::new(als.len(), 0);
                 let mut partial = kernel.identity();
                 let mut ops = 0u128;
@@ -208,30 +133,16 @@ fn run_workload_impl<K: ChunkKernel>(
                     }
                 }
                 (partial, ops, profile)
-            };
-            let modeled = cost.host_prep_seconds(g.n(), g.m()) + cost.cpu_seconds(g.n(), ops);
-            (partial, ops, modeled, None, profile)
-        }
-        CountMethod::GpuSim(mut cfg) => {
-            cfg.cost = *cost;
-            let (r, partial) = match prebuilt {
-                Some(als) => {
-                    gpu_exec::run_workload_traced_with_als(g, als, &cfg, kernel, collector, tracer)?
-                }
-                None => gpu_exec::run_workload_traced(g, &cfg, kernel, collector, tracer)?,
-            };
-            let tests = r.tests;
-            let total_s = r.total_s;
-            let profile = r.profile.clone();
-            (partial, tests, total_s, Some(r), profile)
+            }
         }
     };
+    let modeled_s = cost.host_prep_seconds(g.n(), g.m()) + cost.cpu_seconds(g.n(), tests);
     let triangles = kernel.triangles_in(&partial);
     if collector.enabled() {
         collector.add("pipeline.tests", u64::try_from(tests).unwrap_or(u64::MAX));
         collector.add("pipeline.triangles", triangles);
     }
-    Ok((
+    (
         TriangleReport {
             n: g.n(),
             m: g.m(),
@@ -239,30 +150,30 @@ fn run_workload_impl<K: ChunkKernel>(
             tests,
             modeled_s,
             wall_s: collector.clock().now_ns().saturating_sub(t0) as f64 / 1e9,
-            gpu,
             profile,
         },
         partial,
-    ))
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::als::build_als;
     use crate::workload::CountKernel;
-    use trigon_gpu_sim::DeviceSpec;
     use trigon_graph::{gen, triangles};
 
-    fn count_triangles(g: &Graph, method: CountMethod) -> Result<TriangleReport, Error> {
+    fn count_triangles(g: &Graph, method: CountMethod) -> TriangleReport {
         run_workload_traced(
             g,
+            &build_als(g),
             method,
             &CostModel::default(),
             &CountKernel,
             &mut Collector::disabled(),
             &Tracer::disabled(),
         )
-        .map(|(r, _)| r)
+        .0
     }
 
     #[test]
@@ -273,14 +184,10 @@ mod tests {
             CountMethod::CpuExhaustive,
             CountMethod::CpuFast,
             CountMethod::CpuIntersect,
-            CountMethod::GpuSim(GpuConfig::naive(DeviceSpec::c1060())),
-            CountMethod::GpuSim(GpuConfig::optimized(DeviceSpec::c1060())),
-            CountMethod::GpuSim(GpuConfig::optimized(DeviceSpec::c1060()).sampled()),
         ];
         for m in methods {
-            let label = format!("{m:?}");
-            let r = count_triangles(&g, m).unwrap();
-            assert_eq!(r.triangles, expect, "{label}");
+            let r = count_triangles(&g, m);
+            assert_eq!(r.triangles, expect, "{m:?}");
             assert!(r.modeled_s > 0.0);
             assert!(r.wall_s >= 0.0);
         }
@@ -289,45 +196,11 @@ mod tests {
     #[test]
     fn cpu_paths_report_same_workload() {
         let g = gen::gnp(90, 0.1, 1);
-        let a = count_triangles(&g, CountMethod::CpuExhaustive).unwrap();
-        let b = count_triangles(&g, CountMethod::CpuFast).unwrap();
+        let a = count_triangles(&g, CountMethod::CpuExhaustive);
+        let b = count_triangles(&g, CountMethod::CpuFast);
         assert_eq!(a.tests, b.tests);
+        assert_eq!(a.tests, crate::count::total_tests(&g));
         assert_eq!(a.triangles, b.triangles);
         assert!((a.modeled_s - b.modeled_s).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gpu_wins_at_size_cpu_wins_small_fig10_shape() {
-        // The Fig. 10 crossover: at n = 200 the CPU model wins (context
-        // overhead); at n = 1000 the GPU wins clearly.
-        let small = gen::gnp(200, 16.0 / 200.0, 3);
-        let cs = count_triangles(&small, CountMethod::CpuExhaustive).unwrap();
-        let gs = count_triangles(
-            &small,
-            CountMethod::GpuSim(GpuConfig::optimized(DeviceSpec::c1060())),
-        )
-        .unwrap();
-        assert!(cs.modeled_s < gs.modeled_s, "CPU should win at n=200");
-
-        let big = gen::gnp(1000, 16.0 / 1000.0, 3);
-        let cb = count_triangles(&big, CountMethod::CpuFast).unwrap();
-        let gb = count_triangles(
-            &big,
-            CountMethod::GpuSim(GpuConfig::optimized(DeviceSpec::c1060())),
-        )
-        .unwrap();
-        let speedup = cb.modeled_s / gb.modeled_s;
-        assert!(
-            (2.0..12.0).contains(&speedup),
-            "n=1000 speedup {speedup} out of band"
-        );
-    }
-
-    #[test]
-    fn error_propagates() {
-        let mut dev = DeviceSpec::c1060();
-        dev.global_mem_bytes = 64;
-        let g = gen::gnp(100, 0.1, 1);
-        assert!(count_triangles(&g, CountMethod::GpuSim(GpuConfig::naive(dev))).is_err());
     }
 }

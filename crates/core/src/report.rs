@@ -178,7 +178,7 @@ pub struct HybridSection {
 }
 
 /// Fault-injection and recovery summary (present when the run was
-/// configured with `--faults` / [`crate::Analysis::faults`]).
+/// configured with `--faults` / [`crate::Run::faults`]).
 #[derive(Debug, Clone)]
 pub struct FaultsSection {
     /// Canonical `kind:count` form of the requested plan.
@@ -268,7 +268,7 @@ pub struct FleetDeviceEntry {
 }
 
 /// Multi-device fleet summary (present when the run was configured with
-/// `--devices` / [`crate::Analysis::fleet`]).
+/// `--devices` / [`crate::Run::fleet`]).
 #[derive(Debug, Clone)]
 pub struct FleetSection {
     /// Canonical fleet spec (`"2xC2050,1xC1060"`).
@@ -332,7 +332,7 @@ pub struct ClusterNodeEntry {
 
 /// Simulated cluster summary — the schema-v7 `cluster` section, present
 /// when the run was configured with `--cluster` /
-/// [`crate::Analysis::cluster`].
+/// [`crate::Run::cluster`].
 ///
 /// Describes the third scheduling level: the node partitioner's layout
 /// choice (1D by component vs 2D by edge block), the predicted
@@ -602,7 +602,7 @@ impl Eq6Section {
     }
 }
 
-/// The unified run report every [`crate::Analysis`] run produces.
+/// The unified run report every [`crate::Run`] produces.
 #[derive(Debug)]
 pub struct RunReport {
     /// Method label (`cpu`, `cpu-fast`, `cpu-intersect`, `gpu-naive`,

@@ -29,9 +29,7 @@
 //! * [`cores`] — k-core decomposition and degeneracy ordering;
 //! * [`metrics`] — degree distributions, assortativity, diameter;
 //! * [`external`] — out-of-core triangle counting for disk-resident
-//!   graphs (the paper's §XII future work);
-//! * [`streaming`] — semi-streaming min-wise local triangle estimation
-//!   (Becchetti et al., the paper's reference \[1\]).
+//!   graphs (the paper's §XII future work).
 
 #![deny(missing_docs)]
 
@@ -47,7 +45,6 @@ pub mod metrics;
 pub mod mm;
 pub mod rng;
 pub mod storage;
-pub mod streaming;
 pub mod triangles;
 
 pub use bfs::{BfsTree, LevelMap};

@@ -5,6 +5,16 @@
 use proptest::prelude::*;
 use rayon::prelude::*;
 use rayon::ThreadPool;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes every test in this binary that creates threads:
+/// [`threads_spawned_once_across_repeated_calls`] reads the
+/// process-wide spawn counter, which a sibling test building a pool on
+/// a parallel test thread would bump mid-measurement.
+fn spawn_guard() -> MutexGuard<'static, ()> {
+    static SPAWNS: Mutex<()> = Mutex::new(());
+    SPAWNS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The pool widths the suite sweeps — the `TRIGON_THREADS=1,2,8`
 /// matrix, exercised via explicit pools so one process covers all
@@ -18,6 +28,7 @@ proptest! {
     /// `collect` equals serial map at widths 1, 2 and 8.
     #[test]
     fn collect_matches_serial(v in proptest::collection::vec(0u64..1_000_000, 0..300)) {
+        let _spawns = spawn_guard();
         let want: Vec<u64> = v.iter().map(|x| x.wrapping_mul(31) ^ 7).collect();
         for w in WIDTHS {
             let pool = ThreadPool::new(w);
@@ -31,6 +42,7 @@ proptest! {
     /// reduction makes the parallel result bit-identical.
     #[test]
     fn sum_matches_serial(v in proptest::collection::vec(0u64..1_000, 0..300)) {
+        let _spawns = spawn_guard();
         let want_u: u64 = v.iter().map(|x| x * 3).sum();
         let floats: Vec<f64> = v.iter().map(|&x| x as f64 / 7.0).collect();
         let want_f: f64 = floats.iter().copied().sum();
@@ -46,6 +58,7 @@ proptest! {
     /// `enumerate().map().collect()` sees the right index for every item.
     #[test]
     fn enumerate_matches_serial(v in proptest::collection::vec(0u32..5_000, 0..300)) {
+        let _spawns = spawn_guard();
         let want: Vec<u64> = v
             .iter()
             .enumerate()
@@ -66,6 +79,7 @@ proptest! {
 
 #[test]
 fn empty_and_single_at_every_width() {
+    let _spawns = spawn_guard();
     for w in WIDTHS {
         let pool = ThreadPool::new(w);
         pool.install(|| {
@@ -85,6 +99,7 @@ fn empty_and_single_at_every_width() {
 /// the pool), and the pool must remain usable afterwards.
 #[test]
 fn panic_propagates_and_pool_survives() {
+    let _spawns = spawn_guard();
     let pool = ThreadPool::new(4);
     let v: Vec<u64> = (0..500).collect();
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -114,6 +129,7 @@ fn panic_propagates_and_pool_survives() {
 /// (on both the global and an explicit pool) never spawn new threads.
 #[test]
 fn threads_spawned_once_across_repeated_calls() {
+    let _spawns = spawn_guard();
     let v: Vec<u64> = (0..4_000).collect();
     // Warm the global pool and a 4-wide explicit pool.
     let _: u64 = v.par_iter().map(|&x| x).sum();

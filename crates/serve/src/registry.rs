@@ -3,10 +3,9 @@
 //!
 //! * **Artifact cache** — the BFS forest / `LevelMap` / ALS
 //!   decomposition ([`trigon_core::build_als`]) behind an `Arc`, keyed
-//!   by `(graph, device, method)`. A warm entry skips straight to
-//!   dispatch via [`trigon_core::Run::prebuilt_als`]; entries for the
-//!   same graph under a different key share one `Arc` (the
-//!   decomposition is graph-invariant), so a re-key never rebuilds.
+//!   by graph name alone: the decomposition is the same for every
+//!   device, method and workload. A warm entry skips straight to
+//!   dispatch via [`trigon_core::Run::prebuilt_als`] on every executor.
 //! * **Result cache** — the finished report JSON keyed by the full
 //!   query coordinate `(graph, target, method, workload, k)`. A warm
 //!   entry replays the report without executing anything; the serving
@@ -36,7 +35,7 @@ pub struct GraphInfo {
     pub m: usize,
     /// Provenance: `"file:PATH"` or `"gen:MODEL/n=N/seed=S"`.
     pub source: String,
-    /// Artifact-cache entries currently keyed to this graph.
+    /// Artifact-cache entries currently keyed to this graph (0 or 1).
     pub artifact_entries: usize,
     /// Result-cache entries currently keyed to this graph.
     pub result_entries: usize,
@@ -65,8 +64,8 @@ struct Registered {
 
 #[derive(Default)]
 struct Caches {
-    /// `(graph, device, method)` → shared ALS decomposition.
-    artifacts: HashMap<(String, String, String), Arc<Vec<Als>>>,
+    /// Graph name → shared ALS decomposition.
+    artifacts: HashMap<String, Arc<Vec<Als>>>,
     /// Canonical query key → finished report JSON (serving = null).
     results: HashMap<String, Json>,
     stats: RegistryStats,
@@ -137,7 +136,7 @@ impl Registry {
             return Err(Error::bad_config(format!("graph {name:?} is not loaded")));
         }
         let mut caches = lock(&self.caches);
-        caches.artifacts.retain(|(g, _, _), _| g != name);
+        caches.artifacts.remove(name);
         let prefix = result_key_prefix(name);
         caches.results.retain(|k, _| !k.starts_with(&prefix));
         caches.stats.evictions += 1;
@@ -156,11 +155,7 @@ impl Registry {
                 n: r.graph.n(),
                 m: r.graph.m(),
                 source: r.source.clone(),
-                artifact_entries: caches
-                    .artifacts
-                    .keys()
-                    .filter(|(g, _, _)| g == name)
-                    .count(),
+                artifact_entries: usize::from(caches.artifacts.contains_key(name)),
                 result_entries: {
                     let prefix = result_key_prefix(name);
                     caches
@@ -175,36 +170,16 @@ impl Registry {
         out
     }
 
-    /// The ALS decomposition for `(graph, device, method)` and whether
-    /// it was already cached. A miss first tries to share another key's
-    /// `Arc` for the same graph (the decomposition is graph-invariant)
-    /// and only rebuilds when the graph has no entry at all; either way
-    /// the miss is recorded, because this *key* had to be populated.
+    /// The ALS decomposition of graph `name` and whether it was already
+    /// cached.
     #[must_use]
-    pub fn artifacts(
-        &self,
-        name: &str,
-        graph: &Graph,
-        device: &str,
-        method: &str,
-    ) -> (Arc<Vec<Als>>, bool) {
-        let key = (name.to_string(), device.to_string(), method.to_string());
+    pub fn artifacts(&self, name: &str, graph: &Graph) -> (Arc<Vec<Als>>, bool) {
         {
             let mut caches = lock(&self.caches);
-            if let Some(a) = caches.artifacts.get(&key) {
+            if let Some(a) = caches.artifacts.get(name) {
                 let a = Arc::clone(a);
                 caches.stats.artifact_hits += 1;
                 return (a, true);
-            }
-            if let Some(a) = caches
-                .artifacts
-                .iter()
-                .find(|((g, _, _), _)| g == name)
-                .map(|(_, a)| Arc::clone(a))
-            {
-                caches.artifacts.insert(key, Arc::clone(&a));
-                caches.stats.artifact_misses += 1;
-                return (a, false);
             }
         }
         // Build outside the lock — decompositions can take a while and
@@ -213,7 +188,7 @@ impl Registry {
         // the same bit-identical decomposition.
         let als = Arc::new(build_als(graph));
         let mut caches = lock(&self.caches);
-        caches.artifacts.insert(key, Arc::clone(&als));
+        caches.artifacts.insert(name.to_string(), Arc::clone(&als));
         caches.stats.artifact_misses += 1;
         (als, false)
     }
@@ -324,21 +299,29 @@ mod tests {
     }
 
     #[test]
-    fn artifact_cache_hits_on_second_fetch_and_shares_across_keys() {
+    fn artifact_cache_is_keyed_by_graph() {
         let r = Registry::new();
         r.load("a", tiny(), "test".into()).unwrap();
         let g = r.get("a").unwrap();
-        let (a1, hit1) = r.artifacts("a", &g, "C1060", "gpu-opt");
+        let (a1, hit1) = r.artifacts("a", &g);
         assert!(!hit1);
-        let (a2, hit2) = r.artifacts("a", &g, "C1060", "gpu-opt");
+        // Any later query on the graph, whatever its device or method,
+        // reuses the one decomposition.
+        let (a2, hit2) = r.artifacts("a", &g);
         assert!(hit2);
         assert!(Arc::ptr_eq(&a1, &a2));
-        // A different key misses but shares the Arc instead of rebuilding.
-        let (a3, hit3) = r.artifacts("a", &g, "C2050", "cpu-fast");
-        assert!(!hit3);
+        let (a3, hit3) = r.artifacts("a", &g);
+        assert!(hit3);
         assert!(Arc::ptr_eq(&a1, &a3));
         let s = r.stats();
-        assert_eq!((s.artifact_hits, s.artifact_misses), (1, 2));
+        assert_eq!((s.artifact_hits, s.artifact_misses), (2, 1));
+        assert_eq!(r.list()[0].artifact_entries, 1);
+        r.evict("a").unwrap();
+        r.load("a", tiny(), "test".into()).unwrap();
+        assert!(
+            !r.artifacts("a", &r.get("a").unwrap()).1,
+            "eviction drops it"
+        );
     }
 
     #[test]

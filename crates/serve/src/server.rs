@@ -243,19 +243,12 @@ impl Server {
         let (mut report, cache, artifacts) = match self.registry.result(&key) {
             Some(json) => (json, "hit", "hit"),
             None => {
-                let reuse = reuses_artifacts(method, workload);
-                let (als, warm) = if reuse {
-                    let (als, warm) =
-                        self.registry
-                            .artifacts(graph_name, g, &target, method.label());
-                    (Some(als), warm)
-                } else {
-                    (None, false)
-                };
+                let (als, warm) = self.registry.artifacts(graph_name, g);
                 let mut run = Run::new(g)
                     .method(method)
                     .workload(workload)
-                    .telemetry(Level::Standard);
+                    .telemetry(Level::Standard)
+                    .prebuilt_als(als);
                 match verdict {
                     Verdict::Admit => run = run.device(self.policy.device.clone()),
                     Verdict::Route => {
@@ -264,9 +257,6 @@ impl Server {
                         })?;
                         run = run.fleet(fleet);
                     }
-                }
-                if let Some(als) = als {
-                    run = run.prebuilt_als(als);
                 }
                 let json = run.execute()?.to_json();
                 self.registry.put_result(&key, json.clone());
@@ -445,14 +435,6 @@ fn log(msg: &str) {
     let _ = writeln!(std::io::stderr(), "trigon serve: {msg}");
 }
 
-/// Whether the executor for this (method, workload) accepts prebuilt
-/// ALS artifacts. The hybrid and k-clique paths build their own
-/// decomposition, so caching for them would store dead weight.
-fn reuses_artifacts(method: Method, workload: Workload) -> bool {
-    !matches!(method, Method::Hybrid | Method::KCliques(_))
-        && !matches!(workload, Workload::KCliques(_))
-}
-
 fn dataset_error(path: &str, e: IoError) -> Error {
     match e {
         IoError::Io(source) => Error::Io {
@@ -537,20 +519,21 @@ mod tests {
             r#"{"op":"query","graph":"g","workload":"triangles","method":"gpu-opt"}"#,
         ));
         assert_eq!(art(&r1), Json::from("miss"));
-        // Different workload, same (graph, device, method) key: warm.
-        let (r2, _) = s.handle(&msg(
+        // The decomposition is keyed by graph alone: every later query
+        // reuses it, whatever its workload or method — the hybrid and
+        // k-clique executors included.
+        for q in [
             r#"{"op":"query","graph":"g","workload":"clustering","method":"gpu-opt"}"#,
-        ));
-        assert_eq!(art(&r2), Json::from("hit"));
-        // Different method re-keys but shares the decomposition Arc; the
-        // key itself is cold, so it reports a miss without rebuilding.
-        let (r3, _) = s.handle(&msg(
             r#"{"op":"query","graph":"g","workload":"triangles","method":"cpu-fast"}"#,
-        ));
-        assert_eq!(art(&r3), Json::from("miss"));
+            r#"{"op":"query","graph":"g","workload":"triangles","method":"hybrid"}"#,
+            r#"{"op":"query","graph":"g","workload":"kcount","k":3,"method":"gpu-opt"}"#,
+        ] {
+            let (r, _) = s.handle(&msg(q));
+            assert_eq!(art(&r), Json::from("hit"), "{q}");
+        }
         let stats = s.registry().stats();
-        assert_eq!(stats.artifact_hits, 1);
-        assert_eq!(stats.artifact_misses, 2);
+        assert_eq!(stats.artifact_hits, 4);
+        assert_eq!(stats.artifact_misses, 1);
     }
 
     #[test]

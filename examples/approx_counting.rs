@@ -11,15 +11,15 @@
 //! ```
 
 use trigon::graph::{approx, gen};
-use trigon::{Analysis, Method};
+use trigon::{Method, Run};
 
 fn main() {
     let g = gen::community_ring(8_000, 200, 0.25, 4, 17);
     println!("graph: n = {}, m = {}", g.n(), g.m());
 
-    let exact = Analysis::new(&g)
+    let exact = Run::new(&g)
         .method(Method::CpuFast)
-        .run()
+        .execute()
         .expect("exact");
     println!(
         "exact (Algorithm 2): {} triangles  [{} combination tests accounted]",

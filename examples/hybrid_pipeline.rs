@@ -10,7 +10,7 @@
 
 use trigon::gpu_sim::DeviceSpec;
 use trigon::graph::gen;
-use trigon::{Analysis, Method};
+use trigon::{Method, Run};
 
 fn main() {
     // A deep community graph: the regime the splitting technique targets.
@@ -20,10 +20,10 @@ fn main() {
     for device in [DeviceSpec::c1060(), DeviceSpec::c2050()] {
         let name = device.name;
         let shared_kb = device.shared_mem_bytes / 1024;
-        let r = Analysis::new(&g)
+        let r = Run::new(&g)
             .method(Method::Hybrid)
             .device(device.clone())
-            .run()
+            .execute()
             .expect("hybrid run");
         let h = r.hybrid.as_ref().expect("hybrid section");
         let eq6 = r.eq6.as_ref().expect("eq6 section");
@@ -41,10 +41,10 @@ fn main() {
         println!("kernel (Eq. 6 naive):      {:>8.4} s", eq6.predicted_s);
 
         // Compare against running everything from global memory.
-        let global = Analysis::new(&g)
+        let global = Run::new(&g)
             .method(Method::GpuSampled)
             .device(device)
-            .run()
+            .execute()
             .expect("global run");
         println!(
             "kernel (all-global):       {:>8.4} s",

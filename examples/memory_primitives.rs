@@ -12,7 +12,7 @@ use trigon::gpu_sim::coalesce::{nonsequential_pattern, sequential_pattern};
 use trigon::gpu_sim::occupancy::{occupancy, KernelResources};
 use trigon::gpu_sim::{warp_transactions, ComputeCapability, DeviceSpec};
 use trigon::graph::gen;
-use trigon::{Analysis, Method};
+use trigon::{Method, Run};
 
 fn main() {
     println!("== Table III: one warp reads 128 B as 4 B words ==");
@@ -53,10 +53,10 @@ fn main() {
             GpuConfig::optimized(DeviceSpec::c1060()),
         ),
     ] {
-        let r = Analysis::new(&g)
+        let r = Run::new(&g)
             .method(Method::GpuOptimized)
             .gpu_config(cfg)
-            .run()
+            .execute()
             .expect("run");
         let d = r.gpu.as_ref().unwrap();
         println!(

@@ -1,5 +1,5 @@
 //! Quickstart: count triangles on the CPU and on the simulated GPU
-//! through the one [`trigon::Analysis`] builder.
+//! through the one [`trigon::Run`] builder.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -7,7 +7,7 @@
 
 use trigon::gpu_sim::DeviceSpec;
 use trigon::graph::gen;
-use trigon::{Analysis, Method};
+use trigon::{Method, Run};
 
 fn main() {
     // A seeded random graph: 500 vertices, mean degree 16.
@@ -20,9 +20,9 @@ fn main() {
     );
 
     // 1. The paper's CPU baseline (Algorithm 2, single thread).
-    let cpu = Analysis::new(&g)
+    let cpu = Run::new(&g)
         .method(Method::CpuExhaustive)
-        .run()
+        .execute()
         .expect("cpu");
     println!(
         "CPU  : {} triangles from {} combination tests — modeled {:.3} s on a 2.27 GHz Xeon",
@@ -30,10 +30,10 @@ fn main() {
     );
 
     // 2. The naive GPU port (monolithic layout, round-robin dispatch).
-    let naive = Analysis::new(&g)
+    let naive = Run::new(&g)
         .method(Method::GpuNaive)
         .device(DeviceSpec::c1060())
-        .run()
+        .execute()
         .expect("naive gpu");
     let nd = naive.gpu.as_ref().unwrap();
     println!(
@@ -43,10 +43,10 @@ fn main() {
 
     // 3. With the paper's §IX-§X primitives: per-ALS partition-aligned
     //    layout + LPT chunk scheduling.
-    let opt = Analysis::new(&g)
+    let opt = Run::new(&g)
         .method(Method::GpuOptimized)
         .device(DeviceSpec::c1060())
-        .run()
+        .execute()
         .expect("optimized gpu");
     let od = opt.gpu.as_ref().unwrap();
     println!(

@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 use trigon::graph::{gen, triangles};
-use trigon::{Analysis, Method};
+use trigon::{Method, Run};
 
 fn main() {
     // A small-world OSN: 2,000 users, 12 friends each on the lattice,
@@ -19,9 +19,9 @@ fn main() {
     let g = gen::watts_strogatz(2_000, 12, 0.10, 11);
     println!("social network: {} users, {} friendships", g.n(), g.m());
 
-    let report = Analysis::new(&g)
+    let report = Run::new(&g)
         .method(Method::CpuFast)
-        .run()
+        .execute()
         .expect("count");
     println!("triangles (closed friend trios): {}", report.count);
 

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 use trigon::gpu_sim::{render_sm_timeline, DeviceSpec};
 use trigon::graph::gen;
-use trigon::{Analysis, Level, ManualClock, Method, Tracer};
+use trigon::{Level, ManualClock, Method, Run, Tracer};
 
 fn main() {
     let g = gen::gnp(800, 16.0 / 800.0, 7);
@@ -24,12 +24,12 @@ fn main() {
     let clock = ManualClock::new();
     let tracer = Tracer::with_clock(Level::Trace, Arc::new(clock));
 
-    let report = Analysis::new(&g)
+    let report = Run::new(&g)
         .method(Method::GpuOptimized)
         .device(DeviceSpec::c1060())
         .telemetry(Level::Trace)
         .tracer(tracer)
-        .run()
+        .execute()
         .expect("gpu run");
 
     let trace = report.trace.as_ref().expect("trace summary");

@@ -11,14 +11,14 @@
 //! coalescing and partition-camping-avoidance primitives reproduced on a
 //! deterministic GPU memory-hierarchy simulator.
 //!
-//! Start with the [`Analysis`] builder for the end-to-end API, or run
+//! Start with the [`Run`] builder for the end-to-end API, or run
 //! `cargo run --example quickstart`:
 //!
 //! ```
-//! use trigon::{Analysis, Method};
+//! use trigon::{Method, Run};
 //!
 //! let g = trigon::graph::gen::gnp(200, 0.05, 1);
-//! let report = Analysis::new(&g).method(Method::GpuOptimized).run().unwrap();
+//! let report = Run::new(&g).method(Method::GpuOptimized).execute().unwrap();
 //! println!("{}", report.to_json().to_string_pretty());
 //! ```
 
@@ -31,8 +31,8 @@ pub use trigon_sched as sched;
 pub use trigon_serve as serve;
 
 pub use trigon_core::{
-    Analysis, ChunkKernel, Clock, ClusterSection, ClusterSpec, Collector, CounterSet, Error,
-    FleetSpec, Json, Level, LossPlan, ManualClock, Method, MonotonicClock, PartitionStrategy,
-    ProfileData, ProfileSection, Run, RunReport, TraceSummary, Tracer, Track, Workload,
-    WorkloadSection, RUN_REPORT_SCHEMA_VERSION,
+    ChunkKernel, Clock, ClusterSection, ClusterSpec, Collector, CounterSet, Error, FleetSpec, Json,
+    Level, LossPlan, ManualClock, Method, MonotonicClock, PartitionStrategy, ProfileData,
+    ProfileSection, Run, RunReport, TraceSummary, Tracer, Track, Workload, WorkloadSection,
+    RUN_REPORT_SCHEMA_VERSION,
 };

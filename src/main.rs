@@ -11,7 +11,6 @@
 //!            [--threads N] [--faults SPEC] [--fault-seed N] [--json] [--trace FILE]
 //!            [--profile FILE] [--verbose]
 //! trigon split <FILE> [--device c1060|c2050|c2070]
-//! trigon hybrid [<FILE>] [--gen MODEL --n N] [--device c1060|c2050|c2070] [--json]
 //! trigon kcount <FILE> --k K [--what cliques|connected|independent] [--json]
 //! trigon camping
 //! trigon serve [--listen ADDR|--socket PATH] [--ndjson] [--device D] [--devices SPEC]
@@ -34,8 +33,8 @@ use trigon::gpu_sim::{
 };
 use trigon::graph::{approx, cores, io, triangles, BfsTree, Graph};
 use trigon::{
-    Analysis, ClusterSpec, Error, FleetSpec, Json, Level, LossPlan, Method, PartitionStrategy,
-    ProfileSection, RunReport, Tracer, Workload, WorkloadSection, RUN_REPORT_SCHEMA_VERSION,
+    ClusterSpec, Error, FleetSpec, Json, Level, LossPlan, Method, PartitionStrategy,
+    ProfileSection, Run, RunReport, Tracer, Workload, WorkloadSection, RUN_REPORT_SCHEMA_VERSION,
 };
 
 fn main() {
@@ -46,7 +45,6 @@ fn main() {
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("split") => cmd_split(&args[1..]),
-        Some("hybrid") => cmd_hybrid(&args[1..]),
         Some("kcount") => cmd_kcount(&args[1..]),
         Some("camping") => cmd_camping(),
         Some("serve") => cmd_serve(&args[1..]),
@@ -92,7 +90,6 @@ const USAGE: &str = "usage:
     --node-loss N   kill N cluster nodes at partition time (seeded by
                     --fault-seed); their ALS migrate to surviving nodes
   trigon split <FILE> [--device c1060|c2050|c2070]
-  trigon hybrid [<FILE>] [--gen MODEL --n N] [--device c1060|c2050|c2070] [--json]
   trigon kcount <FILE> --k K [--what cliques|connected|independent] [--json]
   trigon camping
   trigon serve [--listen ADDR|--socket PATH] [--ndjson] [--device c1060|c2050|c2070] [--devices SPEC] [--slots N] [--queue-depth N]
@@ -682,7 +679,7 @@ fn cmd_run(args: &[String]) -> Result<(), Error> {
     let faults = faults_for(&flags)?;
     let (fleet, loss) = fleet_for(&flags)?;
     let (cluster, partition, node_loss) = cluster_for(&flags)?;
-    let mut a = Analysis::new(&g)
+    let mut a = Run::new(&g)
         .method(Method::parse(method)?)
         .workload(workload)
         .device(device.clone())
@@ -866,39 +863,6 @@ fn cmd_split(args: &[String]) -> Result<(), Error> {
     Ok(())
 }
 
-fn cmd_hybrid(args: &[String]) -> Result<(), Error> {
-    let (pos, flags) = parse(args)?;
-    let g = load_or_gen(&pos, &flags)?;
-    let device = device_for(&flags)?;
-    let name = device.name;
-    let report = Analysis::new(&g)
-        .method(Method::Hybrid)
-        .device(device)
-        .run()?;
-    if flags.contains_key("json") {
-        println!("{}", report.to_json().to_string_pretty());
-        return Ok(());
-    }
-    let h = report.hybrid.as_ref().expect("hybrid section");
-    let eq6 = report.eq6.as_ref().expect("eq6 section");
-    println!("device            {name}");
-    println!("triangles         {}", report.count);
-    println!("tests             {}", report.tests);
-    println!(
-        "chunks            {} ({} oversize)",
-        h.chunks, h.oversize_chunks
-    );
-    println!(
-        "ALS placement     {} shared / {} global",
-        h.shared_als, h.global_als
-    );
-    println!("bank conflicts    degree {:.1}", h.bank_conflict_degree);
-    println!("kernel (LPT)      {:.4} s", eq6.simulated_s);
-    println!("kernel (Eq. 6)    {:.4} s", eq6.predicted_s);
-    println!("total             {:.4} s", report.modeled_s);
-    Ok(())
-}
-
 fn cmd_kcount(args: &[String]) -> Result<(), Error> {
     let (pos, flags) = parse(args)?;
     let g = load_or_gen(&pos, &flags)?;
@@ -906,14 +870,18 @@ fn cmd_kcount(args: &[String]) -> Result<(), Error> {
         .get("k")
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| Error::bad_config("kcount: --k K is required"))?;
+    if k == 0 {
+        return Err(Error::bad_config("kcount: --k must be at least 1"));
+    }
     let what = flags.get("what").map_or("cliques", String::as_str);
     use trigon::core::kcount;
     let count = match what {
         "cliques" => {
-            let report = Analysis::new(&g)
-                .method(Method::KCliques(k))
+            let report = Run::new(&g)
+                .workload(Workload::KCliques(k))
+                .method(Method::GpuOptimized)
                 .device(device_for(&flags)?)
-                .run()?;
+                .execute()?;
             if flags.contains_key("json") {
                 println!("{}", report.to_json().to_string_pretty());
                 return Ok(());

@@ -210,6 +210,24 @@ fn kcount_subcommand() {
     let (stdout, _, ok) = trigon(&["kcount", path_s, "--k", "4", "--what", "cliques"]);
     assert!(ok);
     assert!(stdout.contains("cliques of size 4: 5"), "{stdout}");
+    // The cliques kind runs the kcount workload on gpu-opt, and its JSON
+    // report says so, as `run --workload kcount` does.
+    let (stdout, _, ok) = trigon(&["kcount", path_s, "--k", "4", "--json"]);
+    assert!(ok);
+    assert!(stdout.contains("\"method\": \"gpu-opt\""), "{stdout}");
+}
+
+/// `--k 0` is a configuration error (exit 2) for every subgraph kind,
+/// not a panic.
+#[test]
+fn kcount_k0_is_a_config_error() {
+    for what in ["cliques", "connected", "independent"] {
+        let (_, stderr, code) = trigon_code(&[
+            "kcount", "--gen", "gnp", "--n", "20", "--k", "0", "--what", what,
+        ]);
+        assert_eq!(code, 2, "{what}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    }
 }
 
 #[test]
@@ -220,13 +238,20 @@ fn split_subcommand() {
     assert!(stdout.contains("shared"));
 }
 
+/// The hybrid view is `run --method hybrid`: it prints the ALS
+/// placement, the chunks and the Eq. 6 prediction. The old `hybrid`
+/// subcommand fails like any unknown subcommand.
 #[test]
 fn hybrid_subcommand() {
-    let (stdout, stderr, ok) = trigon(&["hybrid", "--gen", "ring", "--n", "1200"]);
+    let (stdout, stderr, ok) =
+        trigon(&["run", "--gen", "ring", "--n", "1200", "--method", "hybrid"]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("ALS placement"), "{stdout}");
-    assert!(stdout.contains("kernel (LPT)"));
-    assert!(stdout.contains("kernel (Eq. 6)"));
+    assert!(stdout.contains("chunks"), "{stdout}");
+    assert!(stdout.contains("Eq. 6"), "{stdout}");
+    let (_, stderr, ok) = trigon(&["hybrid", "--gen", "ring", "--n", "1200"]);
+    assert!(!ok, "removed subcommand must not run");
+    assert!(stderr.contains("usage"), "{stderr}");
 }
 
 #[test]

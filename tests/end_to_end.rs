@@ -3,7 +3,7 @@
 
 use trigon::gpu_sim::DeviceSpec;
 use trigon::graph::{gen, triangles, Graph};
-use trigon::{Analysis, Method, RunReport};
+use trigon::{Method, Run, RunReport, Workload};
 
 fn all_methods() -> Vec<(&'static str, Method, DeviceSpec)> {
     vec![
@@ -18,20 +18,16 @@ fn all_methods() -> Vec<(&'static str, Method, DeviceSpec)> {
 }
 
 fn run(g: &Graph, method: Method, device: DeviceSpec) -> RunReport {
-    Analysis::new(g)
-        .method(method)
-        .device(device)
-        .run()
-        .unwrap()
+    Run::new(g).method(method).device(device).execute().unwrap()
 }
 
 fn check_graph(g: &Graph, label: &str) {
     let expect = triangles::count_edge_iterator(g);
     for (name, method, device) in all_methods() {
-        let r = Analysis::new(g)
+        let r = Run::new(g)
             .method(method)
             .device(device)
-            .run()
+            .execute()
             .unwrap_or_else(|e| panic!("{label}/{name}: {e}"));
         assert_eq!(r.count, expect, "{label}: method {name}");
         assert_eq!(r.n, g.n());
@@ -109,7 +105,12 @@ fn kcount_extensions_cross_validate() {
         triangles::count_edge_iterator(&g)
     );
     // The simulated-GPU k-clique path agrees through the builder.
-    let r = run(&g, Method::KCliques(3), DeviceSpec::c1060());
+    let r = Run::new(&g)
+        .workload(Workload::KCliques(3))
+        .method(Method::GpuOptimized)
+        .device(DeviceSpec::c1060())
+        .execute()
+        .unwrap();
     assert_eq!(r.count, triangles::count_edge_iterator(&g));
     assert_eq!(r.kind, "cliques");
     // Independent sets complement cliques.

@@ -4,16 +4,16 @@
 
 use trigon::gpu_sim::DeviceSpec;
 use trigon::graph::gen;
-use trigon::{Analysis, Level, Method};
+use trigon::{Level, Method, Run};
 
 fn modeled_s(g: &trigon::graph::Graph, method: Method, device: DeviceSpec) -> f64 {
     // Telemetry off: these tests only compare modeled times, and skipping
     // collection also skips the Eq. 6 prediction pass.
-    Analysis::new(g)
+    Run::new(g)
         .method(method)
         .device(device)
         .telemetry(Level::Off)
-        .run()
+        .execute()
         .unwrap()
         .modeled_s
 }
@@ -68,10 +68,10 @@ fn fig11_speedup_exceeds_fig10_band() {
     // speedup reaches ~10x. Sampled fidelity keeps this fast.
     let g = gen::community_ring(10_000, 250, 0.3, 4, 42);
     let run = |m| {
-        Analysis::new(&g)
+        Run::new(&g)
             .method(m)
             .telemetry(Level::Off)
-            .run()
+            .execute()
             .unwrap()
     };
     let cpu = run(Method::CpuFast);

@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use trigon::graph::{triangles, Graph};
 use trigon::{
-    Analysis, ClusterSpec, FleetSpec, Level, LossPlan, ManualClock, Method, PartitionStrategy,
-    Tracer,
+    ClusterSpec, FleetSpec, Level, LossPlan, ManualClock, Method, PartitionStrategy, Run, Tracer,
+    Workload,
 };
 
 fn arb_graph(max_n: u32) -> impl Strategy<Value = Graph> {
@@ -55,7 +55,7 @@ fn cluster_count(
     device_loss: Option<LossPlan>,
     threads: Option<usize>,
 ) -> u64 {
-    let mut a = Analysis::new(g)
+    let mut a = Run::new(g)
         .method(Method::GpuOptimized)
         .cluster(cluster.clone())
         .partition(strategy)
@@ -69,7 +69,7 @@ fn cluster_count(
     if let Some(t) = threads {
         a = a.threads(t);
     }
-    a.run().unwrap().count
+    a.execute().unwrap().count
 }
 
 proptest! {
@@ -136,14 +136,14 @@ proptest! {
     ) {
         let g = trigon::graph::gen::gnp(120, 0.08, 9);
         let run = || {
-            let mut a = Analysis::new(&g)
+            let mut a = Run::new(&g)
                 .method(Method::GpuOptimized)
                 .cluster(cluster.clone())
                 .telemetry(Level::Off);
             if lost > 0 {
                 a = a.node_loss(LossPlan::new(lost, seed));
             }
-            let r = a.run().unwrap();
+            let r = a.execute().unwrap();
             (r.count, format!("{:?}", r.cluster.expect("cluster section")))
         };
         prop_assert_eq!(run(), run());
@@ -160,7 +160,7 @@ fn one_node_cluster_is_byte_identical_to_plain_fleet() {
     let g = trigon::graph::gen::gnp(300, 0.05, 3);
     let run = |cluster: Option<ClusterSpec>| {
         let tracer = Tracer::with_clock(Level::Trace, Arc::new(ManualClock::new()));
-        let mut a = Analysis::new(&g)
+        let mut a = Run::new(&g)
             .method(Method::GpuOptimized)
             .telemetry(Level::Trace)
             .tracer(tracer);
@@ -168,7 +168,7 @@ fn one_node_cluster_is_byte_identical_to_plain_fleet() {
             Some(c) => a.cluster(c),
             None => a.fleet(FleetSpec::parse("2xC2050").unwrap()),
         };
-        a.run().unwrap()
+        a.execute().unwrap()
     };
     let mut plain = run(None);
     let mut clustered = run(Some(ClusterSpec::parse("1x(2xC2050)").unwrap()));
@@ -202,29 +202,38 @@ fn one_node_cluster_is_byte_identical_to_plain_fleet() {
 fn cluster_misconfigurations_are_rejected() {
     let g = trigon::graph::gen::gnp(50, 0.1, 1);
     let cluster = ClusterSpec::parse("2x(C2050)").unwrap();
-    for method in [Method::CpuFast, Method::Hybrid, Method::KCliques(3)] {
-        let err = Analysis::new(&g)
+    for (method, workload) in [
+        (Method::CpuFast, Workload::Triangles),
+        (Method::Hybrid, Workload::Triangles),
+        (Method::GpuOptimized, Workload::KCliques(3)),
+    ] {
+        let err = Run::new(&g)
             .method(method)
+            .workload(workload)
             .cluster(cluster.clone())
-            .run()
+            .execute()
             .unwrap_err();
-        assert_eq!(err.exit_code(), 2, "{method:?} must reject a cluster");
+        assert_eq!(
+            err.exit_code(),
+            2,
+            "{method:?} {workload:?} must reject a cluster"
+        );
     }
-    let err = Analysis::new(&g)
+    let err = Run::new(&g)
         .method(Method::GpuOptimized)
         .node_loss(LossPlan::new(1, 0))
-        .run()
+        .execute()
         .unwrap_err();
     assert_eq!(
         err.exit_code(),
         2,
         "loss without a cluster must be rejected"
     );
-    let err = Analysis::new(&g)
+    let err = Run::new(&g)
         .method(Method::GpuOptimized)
         .cluster(cluster.clone())
         .fleet(FleetSpec::parse("2xC2050").unwrap())
-        .run()
+        .execute()
         .unwrap_err();
     assert_eq!(err.exit_code(), 2, "cluster + fleet must be rejected");
 }

@@ -5,13 +5,13 @@
 use proptest::prelude::*;
 use trigon::core::{count, kcount};
 use trigon::graph::{triangles, Graph};
-use trigon::{Analysis, Level, Method};
+use trigon::{Level, Method, Run};
 
 fn count_with(g: &Graph, method: Method) -> u64 {
-    Analysis::new(g)
+    Run::new(g)
         .method(method)
         .telemetry(Level::Off)
-        .run()
+        .execute()
         .unwrap()
         .count
 }

@@ -10,7 +10,7 @@ use trigon::core::gpu_exec::{self, GpuConfig};
 use trigon::core::workload::CountKernel;
 use trigon::gpu_sim::{DeviceSpec, FaultConfig, FaultPlan, FaultSpec};
 use trigon::graph::{triangles, Graph};
-use trigon::{Analysis, Collector, Level, ManualClock, Method, Tracer};
+use trigon::{Collector, Level, ManualClock, Method, Run, Tracer};
 
 fn arb_graph(max_n: u32) -> impl Strategy<Value = Graph> {
     (3..max_n).prop_flat_map(|n| {
@@ -33,11 +33,11 @@ fn arb_spec() -> impl Strategy<Value = FaultSpec> {
 }
 
 fn faulted_count(g: &Graph, method: Method, fc: FaultConfig) -> u64 {
-    Analysis::new(g)
+    Run::new(g)
         .method(method)
         .telemetry(Level::Off)
         .faults(fc)
-        .run()
+        .execute()
         .unwrap()
         .count
 }
@@ -107,7 +107,7 @@ fn zero_fault_plan_trace_is_byte_identical() {
     let g = trigon::graph::gen::gnp(300, 0.05, 3);
     let trace_of = |faults: Option<FaultConfig>| {
         let tracer = Tracer::with_clock(Level::Trace, Arc::new(ManualClock::new()));
-        let mut a = Analysis::new(&g)
+        let mut a = Run::new(&g)
             .method(Method::GpuOptimized)
             .device(DeviceSpec::c1060())
             .telemetry(Level::Trace)
@@ -115,7 +115,7 @@ fn zero_fault_plan_trace_is_byte_identical() {
         if let Some(fc) = faults {
             a = a.faults(fc);
         }
-        let r = a.run().unwrap();
+        let r = a.execute().unwrap();
         r.tracer.to_chrome_trace().to_string_pretty()
     };
     let baseline = trace_of(None);
@@ -177,11 +177,11 @@ fn transfer_exhaustion_falls_back_to_cpu() {
         ..FaultSpec::default()
     };
     let fc = FaultConfig::new(FaultPlan::new(spec, 4));
-    let r = Analysis::new(&g)
+    let r = Run::new(&g)
         .method(Method::GpuOptimized)
         .telemetry(Level::Off)
         .faults(fc)
-        .run()
+        .execute()
         .unwrap();
     assert_eq!(r.count, brute);
     let f = r.faults.expect("faults section");

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use trigon::gpu_sim::DeviceSpec;
 use trigon::graph::{triangles, Graph};
-use trigon::{Analysis, FleetSpec, Level, LossPlan, ManualClock, Method, Tracer};
+use trigon::{FleetSpec, Level, LossPlan, ManualClock, Method, Run, Tracer, Workload};
 
 fn arb_graph(max_n: u32) -> impl Strategy<Value = Graph> {
     (3..max_n).prop_flat_map(|n| {
@@ -35,14 +35,14 @@ fn arb_fleet() -> impl Strategy<Value = FleetSpec> {
 }
 
 fn fleet_count(g: &Graph, fleet: &FleetSpec, loss: Option<LossPlan>) -> u64 {
-    let mut a = Analysis::new(g)
+    let mut a = Run::new(g)
         .method(Method::GpuOptimized)
         .fleet(fleet.clone())
         .telemetry(Level::Off);
     if let Some(l) = loss {
         a = a.device_loss(l);
     }
-    a.run().unwrap().count
+    a.execute().unwrap().count
 }
 
 proptest! {
@@ -82,14 +82,14 @@ proptest! {
     ) {
         let g = trigon::graph::gen::gnp(120, 0.08, 9);
         let run = || {
-            let mut a = Analysis::new(&g)
+            let mut a = Run::new(&g)
                 .method(Method::GpuOptimized)
                 .fleet(fleet.clone())
                 .telemetry(Level::Off);
             if lost > 0 {
                 a = a.device_loss(LossPlan::new(lost, seed));
             }
-            let r = a.run().unwrap();
+            let r = a.execute().unwrap();
             (r.count, format!("{:?}", r.fleet.expect("fleet section")))
         };
         prop_assert_eq!(run(), run());
@@ -105,7 +105,7 @@ fn one_device_fleet_is_byte_identical_to_plain_run() {
     let g = trigon::graph::gen::gnp(300, 0.05, 3);
     let run = |fleet: Option<FleetSpec>| {
         let tracer = Tracer::with_clock(Level::Trace, Arc::new(ManualClock::new()));
-        let mut a = Analysis::new(&g)
+        let mut a = Run::new(&g)
             .method(Method::GpuOptimized)
             .device(DeviceSpec::c2050())
             .telemetry(Level::Trace)
@@ -113,7 +113,7 @@ fn one_device_fleet_is_byte_identical_to_plain_run() {
         if let Some(f) = fleet {
             a = a.fleet(f);
         }
-        a.run().unwrap()
+        a.execute().unwrap()
     };
     let plain = run(None);
     let mut fleet = run(Some(FleetSpec::parse("1xC2050").unwrap()));
@@ -140,11 +140,11 @@ fn fleet_capacity_errors_are_graph_too_large() {
     let mut tiny = DeviceSpec::c1060();
     tiny.global_mem_bytes = 64;
     let fleet = FleetSpec::homogeneous(tiny, 3).unwrap();
-    let err = Analysis::new(&g)
+    let err = Run::new(&g)
         .method(Method::GpuOptimized)
         .fleet(fleet)
         .telemetry(Level::Off)
-        .run()
+        .execute()
         .unwrap_err();
     assert_eq!(err.exit_code(), 5, "unexpected error: {err}");
 }
@@ -155,18 +155,27 @@ fn fleet_capacity_errors_are_graph_too_large() {
 fn fleet_misconfigurations_are_rejected() {
     let g = trigon::graph::gen::gnp(50, 0.1, 1);
     let fleet = FleetSpec::parse("2xC2050").unwrap();
-    for method in [Method::CpuFast, Method::Hybrid, Method::KCliques(3)] {
-        let err = Analysis::new(&g)
+    for (method, workload) in [
+        (Method::CpuFast, Workload::Triangles),
+        (Method::Hybrid, Workload::Triangles),
+        (Method::GpuOptimized, Workload::KCliques(3)),
+    ] {
+        let err = Run::new(&g)
             .method(method)
+            .workload(workload)
             .fleet(fleet.clone())
-            .run()
+            .execute()
             .unwrap_err();
-        assert_eq!(err.exit_code(), 2, "{method:?} must reject a fleet");
+        assert_eq!(
+            err.exit_code(),
+            2,
+            "{method:?} {workload:?} must reject a fleet"
+        );
     }
-    let err = Analysis::new(&g)
+    let err = Run::new(&g)
         .method(Method::GpuOptimized)
         .device_loss(LossPlan::new(1, 0))
-        .run()
+        .execute()
         .unwrap_err();
     assert_eq!(err.exit_code(), 2, "loss without a fleet must be rejected");
 }

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use trigon::core::count::als_fast;
 use trigon::core::hybrid::run_hybrid_workload_traced;
-use trigon::core::{HybridConfig, IntersectKernel};
+use trigon::core::{build_als, HybridConfig, IntersectKernel};
 use trigon::gpu_sim::{DeviceSpec, FaultConfig, FaultPlan, FaultSpec};
 use trigon::graph::Graph;
 use trigon::{Collector, FleetSpec, Level, Method, Run, Tracer, Workload};
@@ -92,7 +92,8 @@ proptest! {
     fn hybrid_executor_carries_intersect_kernel(g in arb_graph(32)) {
         let cfg = HybridConfig::new(DeviceSpec::c1060());
         let (r, partial) = run_hybrid_workload_traced(
-            &g, &cfg, &IntersectKernel, &mut Collector::disabled(), &Tracer::disabled(),
+            &g, &build_als(&g), &cfg, &IntersectKernel, &mut Collector::disabled(),
+            &Tracer::disabled(),
         );
         prop_assert_eq!(r.triangles, als_fast(&g));
         prop_assert_eq!(partial, als_fast(&g));

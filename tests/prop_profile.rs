@@ -44,7 +44,7 @@ fn profile_json(
     } else {
         r = r.device(DeviceSpec::c1060());
     }
-    let rep = r.run().unwrap();
+    let rep = r.execute().unwrap();
     rep.profile
         .expect("profile section")
         .to_json()
@@ -53,7 +53,11 @@ fn profile_json(
 
 /// The per-ALS `tests` attribution of a run.
 fn per_als_tests(g: &Graph, m: Method) -> Vec<u128> {
-    let rep = Run::new(g).method(m).telemetry(Level::Off).run().unwrap();
+    let rep = Run::new(g)
+        .method(m)
+        .telemetry(Level::Off)
+        .execute()
+        .unwrap();
     rep.profile
         .expect("profile section")
         .data
@@ -125,7 +129,7 @@ fn totals_equal_both_attribution_axes() {
         .method(Method::GpuOptimized)
         .device(DeviceSpec::c1060())
         .telemetry(Level::Off)
-        .run()
+        .execute()
         .unwrap();
     let p = rep.profile.expect("profile section").data;
     let als_tests: u128 = p.per_als.iter().map(|c| c.tests).sum();

@@ -12,9 +12,7 @@
 use trigon::gpu_sim::{DeviceSpec, FaultConfig, FaultPlan, FaultSpec};
 use trigon::graph::gen;
 use trigon::serve::{Server, ServerConfig};
-use trigon::{
-    Analysis, ClusterSpec, FleetSpec, Json, Level, LossPlan, Method, RunReport, Workload,
-};
+use trigon::{ClusterSpec, FleetSpec, Json, Level, LossPlan, Method, Run, RunReport, Workload};
 
 fn check_golden(name: &str, report: &RunReport) {
     check_golden_json(name, &report.to_json());
@@ -40,11 +38,11 @@ fn check_golden_json(name: &str, json: &Json) {
 #[test]
 fn gpu_report_schema_is_pinned() {
     let g = gen::gnp(200, 0.05, 1);
-    let r = Analysis::new(&g)
+    let r = Run::new(&g)
         .method(Method::GpuOptimized)
         .device(DeviceSpec::c1060())
         .telemetry(Level::Trace)
-        .run()
+        .execute()
         .unwrap();
     check_golden("run_report_gpu_keys", &r);
 }
@@ -52,10 +50,10 @@ fn gpu_report_schema_is_pinned() {
 #[test]
 fn hybrid_report_schema_is_pinned() {
     let g = gen::community_ring(1_000, 100, 0.2, 2, 5);
-    let r = Analysis::new(&g)
+    let r = Run::new(&g)
         .method(Method::Hybrid)
         .telemetry(Level::Trace)
-        .run()
+        .execute()
         .unwrap();
     check_golden("run_report_hybrid_keys", &r);
 }
@@ -63,10 +61,10 @@ fn hybrid_report_schema_is_pinned() {
 #[test]
 fn cpu_report_schema_is_pinned() {
     let g = gen::gnp(200, 0.05, 1);
-    let r = Analysis::new(&g)
+    let r = Run::new(&g)
         .method(Method::CpuFast)
         .telemetry(Level::Trace)
-        .run()
+        .execute()
         .unwrap();
     check_golden("run_report_cpu_keys", &r);
 }
@@ -77,12 +75,12 @@ fn cpu_report_schema_is_pinned() {
 fn faulted_report_schema_is_pinned() {
     let g = gen::gnp(300, 0.05, 1);
     let spec = FaultSpec::parse("ecc:2,xfer:1,abort:1,stall:1").unwrap();
-    let r = Analysis::new(&g)
+    let r = Run::new(&g)
         .method(Method::GpuOptimized)
         .device(DeviceSpec::c1060())
         .telemetry(Level::Trace)
         .faults(FaultConfig::new(FaultPlan::new(spec, 7)))
-        .run()
+        .execute()
         .unwrap();
     assert!(r.faults.is_some(), "faulted run must emit a faults section");
     check_golden("run_report_faults_keys", &r);
@@ -94,12 +92,12 @@ fn faulted_report_schema_is_pinned() {
 #[test]
 fn fleet_report_schema_is_pinned() {
     let g = gen::community_ring(1_000, 100, 0.2, 2, 5);
-    let r = Analysis::new(&g)
+    let r = Run::new(&g)
         .method(Method::GpuOptimized)
         .fleet(FleetSpec::parse("2xC2050,1xC1060").unwrap())
         .device_loss(LossPlan::new(1, 7))
         .telemetry(Level::Trace)
-        .run()
+        .execute()
         .unwrap();
     assert!(r.fleet.is_some(), "fleet run must emit a fleet section");
     check_golden("run_report_fleet_keys", &r);
@@ -112,12 +110,12 @@ fn fleet_report_schema_is_pinned() {
 #[test]
 fn cluster_report_schema_is_pinned() {
     let g = gen::community_ring(1_000, 100, 0.2, 2, 5);
-    let r = Analysis::new(&g)
+    let r = Run::new(&g)
         .method(Method::GpuOptimized)
         .cluster(ClusterSpec::parse("2x(2xC2050),2x(C1060)").unwrap())
         .node_loss(LossPlan::new(1, 7))
         .telemetry(Level::Trace)
-        .run()
+        .execute()
         .unwrap();
     assert!(
         r.cluster.is_some(),
@@ -132,7 +130,7 @@ fn cluster_report_schema_is_pinned() {
 #[test]
 fn clustering_report_schema_is_pinned() {
     let g = gen::gnp(200, 0.05, 1);
-    let r = Analysis::new(&g)
+    let r = Run::new(&g)
         .workload(Workload::Clustering)
         .method(Method::GpuOptimized)
         .device(DeviceSpec::c1060())
@@ -145,7 +143,7 @@ fn clustering_report_schema_is_pinned() {
 #[test]
 fn ktruss_report_schema_is_pinned() {
     let g = gen::gnp(200, 0.05, 1);
-    let r = Analysis::new(&g)
+    let r = Run::new(&g)
         .workload(Workload::KTruss(3))
         .method(Method::CpuFast)
         .telemetry(Level::Trace)
@@ -157,7 +155,7 @@ fn ktruss_report_schema_is_pinned() {
 #[test]
 fn enumerate_report_schema_is_pinned() {
     let g = gen::gnp(200, 0.05, 1);
-    let r = Analysis::new(&g)
+    let r = Run::new(&g)
         .workload(Workload::Enumerate)
         .method(Method::GpuSampled)
         .device(DeviceSpec::c1060())
@@ -196,10 +194,10 @@ fn served_report_schema_is_pinned() {
 fn every_executor_attaches_a_profile_section() {
     let g = gen::gnp(200, 0.05, 1);
     for method in [Method::CpuFast, Method::GpuOptimized, Method::Hybrid] {
-        let r = Analysis::new(&g)
+        let r = Run::new(&g)
             .method(method)
             .telemetry(Level::Off)
-            .run()
+            .execute()
             .unwrap();
         let p = r
             .profile
