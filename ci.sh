@@ -5,7 +5,7 @@
 # performance-counter profile repro paths.
 #
 #   ./ci.sh            # everything
-#   ./ci.sh quick      # everything, but skip the slow property-test suite
+#   ./ci.sh quick      # everything except the ablation stage
 #   ./ci.sh <stage>    # one stage: fmt | clippy | doc | test | trace | faults | fleet | cluster | workloads | intersect | serve | ablation | perf | profile
 #
 # Each stage's wall-clock time is reported in a summary at the end.
@@ -54,11 +54,7 @@ stage_doc() {
 }
 
 stage_test() {
-    if [ "$mode" = "quick" ]; then
-        cargo test --workspace --exclude trigon-bench -- --skip prop_
-    else
-        cargo test --workspace --exclude trigon-bench
-    fi
+    cargo test --workspace --exclude trigon-bench
 }
 
 stage_trace() {

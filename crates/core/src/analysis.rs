@@ -57,7 +57,7 @@
 use crate::als::{build_als, Als};
 use crate::cluster;
 use crate::error::Error;
-use crate::gpu_exec::{self, GpuConfig};
+use crate::gpu_exec::{self, GpuConfig, GpuRunResult};
 use crate::gpu_kcount::run_k_cliques_workload_traced;
 use crate::hybrid::{run_hybrid_workload_traced, HybridConfig};
 use crate::multi;
@@ -476,9 +476,16 @@ impl<'g> Run<'g> {
     }
 
     /// Checks the configuration against the capability table: the
-    /// method's row ([`Method::caps`]), the workload's row
-    /// ([`WorkloadCaps::of`]), and the shape of the fleet or cluster.
-    fn check_capabilities(&self) -> Result<(), Error> {
+    /// method's row, the workload's row, and the shape of the fleet or
+    /// cluster. [`Run::execute`] begins with this check; a caller can
+    /// run it first to reject a configuration before paying for
+    /// anything else (an ALS build, a cache lookup).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::BadConfig`] for every method/workload/placement/fault
+    /// combination the table rules out, and for `k < 2`.
+    pub fn check(&self) -> Result<(), Error> {
         let (method, workload) = (self.method.label(), self.workload.label());
         let caps = self.method.caps();
         let wcaps = WorkloadCaps::of(self.workload);
@@ -576,7 +583,7 @@ impl<'g> Run<'g> {
     }
 
     fn execute_inner(mut self) -> Result<RunReport, Error> {
-        self.check_capabilities()?;
+        self.check()?;
         let tracer = self
             .tracer
             .take()
@@ -643,27 +650,10 @@ impl<'g> Run<'g> {
                     &mut collector,
                     &tracer,
                 )?;
-                let mut report = self.base_report(r.cliques, r.tests, r.total_s);
+                let mut report = self.gpu_report(r, &cfg);
                 report.kind = "cliques".into();
                 report.k = k;
                 report.workload = WorkloadSection::KCount { k };
-                report.gpu = Some(GpuSection {
-                    transactions: r.transactions,
-                    camping_factor: 1.0, // not modeled on the k-clique path
-                    kernel_cycles: collector.counter("gpu.makespan_cycles"),
-                    kernel_s: r.kernel_s,
-                    transfer_s: collector.phase_total("xfer"),
-                    host_s: self.cost.host_prep_seconds(g.n(), g.m()),
-                    context_s: self.cost.gpu_context_init_s,
-                    blocks: r.blocks,
-                    layout_bytes: collector.counter("xfer.bytes"),
-                    makespan_cycles: collector.counter("gpu.makespan_cycles"),
-                    sm_utilization: collector.gauge_value("gpu.sm_utilization").unwrap_or(1.0),
-                    schedule_imbalance: collector
-                        .gauge_value("gpu.schedule_imbalance")
-                        .unwrap_or(1.0),
-                });
-                report.profile = Some(ProfileSection::new(r.profile));
                 report
             }
             Workload::Clustering => {
@@ -796,26 +786,10 @@ impl<'g> Run<'g> {
                 } else {
                     None
                 };
-                let mut report = self.base_report(r.triangles, r.tests, r.total_s);
-                report.gpu = Some(GpuSection {
-                    transactions: r.transactions,
-                    camping_factor: r.camping_factor,
-                    kernel_cycles: r.kernel_cycles,
-                    kernel_s: r.kernel_s,
-                    transfer_s: r.transfer_s,
-                    host_s: r.host_s,
-                    context_s: r.context_s,
-                    blocks: r.blocks,
-                    layout_bytes: r.layout_bytes,
-                    makespan_cycles: r.makespan_cycles,
-                    sm_utilization: r.sm_utilization,
-                    schedule_imbalance: r.schedule_imbalance,
-                });
+                let mut report = self.gpu_report(r, &cfg);
                 report.eq6 = eq6;
-                report.faults = faults_section(cfg.faults.as_ref(), r.faults.as_ref());
                 report.fleet = fleet_section;
                 report.cluster = cluster_section;
-                report.profile = Some(ProfileSection::new(r.profile));
                 Ok((report, partial))
             }
             Method::Hybrid => {
@@ -834,15 +808,36 @@ impl<'g> Run<'g> {
                     global_als: r.global_als,
                     chunks: r.split.chunks.len(),
                     oversize_chunks: r.split.oversize_count,
-                    bank_conflict_degree: collector
-                        .gauge_value("shared.bank_conflict_degree")
-                        .unwrap_or(1.0),
+                    bank_conflict_degree: f64::from(r.bank_conflict_degree),
                 });
                 report.eq6 = Some(Eq6Section::new(r.eq6_s, r.kernel_s));
                 report.profile = Some(ProfileSection::new(r.profile));
                 Ok((report, partial))
             }
         }
+    }
+
+    /// The report of a simulated-device run under `cfg`: its count,
+    /// GPU, faults and profile sections, all read from `r`.
+    fn gpu_report(&self, r: GpuRunResult, cfg: &GpuConfig) -> RunReport {
+        let mut report = self.base_report(r.triangles, r.tests, r.total_s);
+        report.gpu = Some(GpuSection {
+            transactions: r.transactions,
+            camping_factor: r.camping_factor,
+            kernel_cycles: r.kernel_cycles,
+            kernel_s: r.kernel_s,
+            transfer_s: r.transfer_s,
+            host_s: r.host_s,
+            context_s: r.context_s,
+            blocks: r.blocks,
+            layout_bytes: r.layout_bytes,
+            makespan_cycles: r.makespan_cycles,
+            sm_utilization: r.sm_utilization,
+            schedule_imbalance: r.schedule_imbalance,
+        });
+        report.faults = faults_section(cfg.faults.as_ref(), r.faults.as_ref());
+        report.profile = Some(ProfileSection::new(r.profile));
+        report
     }
 
     /// The effective GPU configuration for a GPU-backed method.
@@ -988,7 +983,7 @@ mod tests {
                     } else if p != "device" {
                         run = run.fleet(FleetSpec::parse(p).unwrap());
                     }
-                    if run.check_capabilities().is_ok() {
+                    if run.check().is_ok() {
                         runs.push((format!("{} {} {p}", m.label(), w.label()), run));
                     }
                 }
@@ -1123,6 +1118,28 @@ mod tests {
         assert!(r.eq6.is_none(), "eq6 pass is skipped when telemetry is off");
         assert_eq!(r.telemetry.counter("gpu.transactions"), 0);
         assert!(r.gpu.is_some(), "gpu section comes from the run result");
+
+        // Every section comes from the executor's result, never from the
+        // collector, so it reads the same at every telemetry level.
+        let small = gen::gnp(60, 0.2, 3);
+        let ring = gen::community_ring(1500, 100, 0.2, 2, 5);
+        for (g, method, workload, section) in [
+            (&small, Method::GpuOptimized, Workload::KCliques(3), "gpu"),
+            (&ring, Method::Hybrid, Workload::Triangles, "hybrid"),
+        ] {
+            let at = |level| {
+                Run::new(g)
+                    .method(method)
+                    .workload(workload)
+                    .telemetry(level)
+                    .execute()
+                    .unwrap()
+                    .to_json()
+            };
+            let (standard, off) = (at(Level::Standard), at(Level::Off));
+            assert!(standard.get(section).is_some(), "{section} section");
+            assert_eq!(standard.get(section), off.get(section), "{section}");
+        }
     }
 
     #[test]

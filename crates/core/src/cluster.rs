@@ -11,6 +11,12 @@
 //!    layer;
 //! 3. **per-SM schedule** — the single-device §VI dispatch, untouched.
 //!
+//! Levels 1 and 2 run on one shared placement layer: the reshard of
+//! lost targets, the per-target loop, the trace harvest, the canonical
+//! fold and the aggregate result are the fleet's code too. This module
+//! keeps the node planner, the uplink and ghost pricing, the one-node
+//! passthrough and the cluster section.
+//!
 //! Correctness rests on the same ALS exactness theorem as the fleet
 //! layer: both layouts partition the ALS list, a partition of the ALS
 //! list is a partition of the triangles, and the per-node partials
@@ -29,15 +35,14 @@
 use crate::als::{build_als, Als};
 use crate::gpu_exec::{GpuConfig, GpuError, GpuRunResult};
 use crate::multi;
+use crate::placement::{self, Part};
 use crate::report::{ClusterNodeEntry, ClusterSection, FleetSection};
 use crate::workload::{ChunkKernel, CountKernel};
 use trigon_fleet::{
-    plan_cluster, reassign_lost_nodes, ClusterJob, ClusterSpec, Interconnect, LossPlan,
-    PartitionStrategy,
+    plan_cluster, ClusterJob, ClusterSpec, Interconnect, LossPlan, PartitionStrategy, ShardJob,
 };
-use trigon_gpu_sim::{FaultOutcome, ProfileData};
 use trigon_graph::Graph;
-use trigon_telemetry::{AttrValue, Collector, Level, Tracer, Track};
+use trigon_telemetry::{AttrValue, Collector, Tracer, Track};
 
 /// Runs the simulated triangle count across a cluster of nodes over the
 /// graph's whole ALS decomposition: builds it once with [`build_als`]
@@ -153,18 +158,22 @@ pub fn run_cluster_workload<K: ChunkKernel>(
     };
 
     // ---- Node loss: reshard orphans onto survivors (online Graham). ----
-    let mut reassigned = 0;
-    if !lost.is_empty() {
-        for &n in &lost {
-            tracer.instant_at("cluster.node_lost", Track::DevicePcie(offsets[n]), 0);
-        }
-        reassigned = reassign_lost_nodes(&mut plan, &jobs, &lost);
-    }
-
-    let alive: Vec<bool> = (0..nodes.len()).map(|n| !lost.contains(&n)).collect();
-    let active: Vec<usize> = (0..nodes.len())
-        .filter(|&n| alive[n] && plan.assignment.contains(&n))
+    let shard_jobs: Vec<ShardJob> = jobs
+        .iter()
+        .map(|j| ShardJob {
+            weight: j.weight,
+            bytes: j.bytes,
+        })
         .collect();
+    let (reassigned, active) = placement::reshard(
+        &mut plan.placement,
+        &shard_jobs,
+        &lost,
+        tracer,
+        "cluster.node_lost",
+        |n| offsets[n],
+    );
+    let assignment = &plan.placement.assignment;
     let links = active.len().max(1);
 
     // ---- Ghost/surrogate vertices: a component cut across nodes
@@ -173,143 +182,110 @@ pub fn run_cluster_workload<K: ChunkKernel>(
     let mut ghost_cycles_in = vec![0u64; nodes.len()];
     let mut ghost_bytes_in = vec![0u64; nodes.len()];
     let mut ghost_vertices_in = vec![0u64; nodes.len()];
-    for j in 1..als.len() {
-        if als[j].component != als[j - 1].component {
-            continue;
-        }
-        let (src, dst) = (plan.assignment[j - 1], plan.assignment[j]);
-        if src == dst {
-            continue;
-        }
+    for (j, _, dst) in placement::boundary_moves(als, assignment) {
         ghost_cycles_in[dst] += net.ghost_cycles(jobs[j].ghost_bytes, node_clock(dst));
         ghost_bytes_in[dst] += jobs[j].ghost_bytes;
         ghost_vertices_in[dst] += jobs[j].ghost_vertices;
     }
 
     // ---- Level 2+3: run each node's partition through the fleet layer. ----
-    struct NodeRun {
-        node: usize,
-        als: usize,
-        weight: u64,
-        result: GpuRunResult,
-        fleet: FleetSection,
-        uplink_cycles: u64,
-        ghost_cycles: u64,
-        end_cycles: u64,
-    }
-    let dispatch_guard = collector.phase("dispatch");
-    let dispatch_span = tracer.span("dispatch", "phase");
-    let mut runs: Vec<NodeRun> = Vec::with_capacity(active.len());
-    let mut partials: Vec<K::Partial> = Vec::with_capacity(active.len());
-    for &n in &active {
-        let node_als: Vec<Als> = als
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| plan.assignment[j] == n)
-            .map(|(_, a)| a.clone())
-            .collect();
-        let sub = if tracer.enabled() {
-            Tracer::with_clock(Level::Trace, tracer.clock())
-        } else {
-            Tracer::disabled()
-        };
-        let (r, node_partial, fs) = multi::run_fleet_workload(
-            g,
-            &node_als,
-            &nodes[n],
-            base,
-            device_loss,
-            kernel,
-            &mut Collector::disabled(),
-            &sub,
-        )?;
-        partials.push(node_partial);
-
-        let clock = node_clock(n);
-        let uplink = net.uplink_cycles(r.layout_bytes, links, clock);
-        let ghost = ghost_cycles_in[n];
-        let shift = uplink + ghost;
-        if tracer.enabled() {
-            let lane = Track::DevicePcie(offsets[n]);
-            tracer.device_span(
-                "node uplink",
-                "cluster",
-                lane,
-                0,
-                uplink,
-                &[
-                    ("bytes", AttrValue::UInt(r.layout_bytes)),
-                    ("links", AttrValue::UInt(links as u64)),
-                    ("tier", AttrValue::from(net.inter.name)),
-                ],
-            );
-            if ghost > 0 {
+    let mut fleet_makespans = vec![0u64; nodes.len()];
+    let (partial, runs) = placement::run_parts(
+        als,
+        assignment,
+        &active,
+        kernel,
+        collector,
+        tracer,
+        |n, node_als, sub| {
+            let (r, node_partial, fs) = multi::run_fleet_workload(
+                g,
+                node_als,
+                &nodes[n],
+                base,
+                device_loss,
+                kernel,
+                &mut Collector::disabled(),
+                sub,
+            )?;
+            fleet_makespans[n] = fs.makespan_cycles;
+            let clock = node_clock(n);
+            let uplink = net.uplink_cycles(r.layout_bytes, links, clock);
+            let ghost = ghost_cycles_in[n];
+            if tracer.enabled() {
+                let off = offsets[n];
+                let lane = Track::DevicePcie(off);
                 tracer.device_span(
-                    "ghost exchange",
+                    "node uplink",
                     "cluster",
                     lane,
+                    0,
                     uplink,
-                    ghost,
                     &[
-                        ("bytes", AttrValue::UInt(ghost_bytes_in[n])),
-                        ("vertices", AttrValue::UInt(ghost_vertices_in[n])),
+                        ("bytes", AttrValue::UInt(r.layout_bytes)),
+                        ("links", AttrValue::UInt(links as u64)),
                         ("tier", AttrValue::from(net.inter.name)),
                     ],
                 );
+                if ghost > 0 {
+                    tracer.device_span(
+                        "ghost exchange",
+                        "cluster",
+                        lane,
+                        uplink,
+                        ghost,
+                        &[
+                            ("bytes", AttrValue::UInt(ghost_bytes_in[n])),
+                            ("vertices", AttrValue::UInt(ghost_vertices_in[n])),
+                            ("tier", AttrValue::from(net.inter.name)),
+                        ],
+                    );
+                }
+                // The node's devices occupy lanes off..off+len: a
+                // one-device node traced on the plain lanes maps onto
+                // lane off, a fleet's device lanes map by offset. The
+                // cluster emits its own host phases.
+                placement::harvest(tracer, sub, uplink + ghost, |t| match t {
+                    Track::Sm(i) => Some(Track::DeviceSm(off, i)),
+                    Track::Pcie => Some(Track::DevicePcie(off)),
+                    Track::DeviceSm(d, i) => Some(Track::DeviceSm(off + d, i)),
+                    Track::DevicePcie(d) => Some(Track::DevicePcie(off + d)),
+                    Track::Host => None,
+                });
             }
-            harvest_node_trace(tracer, &sub, offsets[n], shift);
-        }
-        let end_cycles = shift + fs.makespan_cycles;
-        runs.push(NodeRun {
-            node: n,
-            als: node_als.len(),
-            weight: plan.loads[n],
-            result: r,
-            fleet: fs,
-            uplink_cycles: uplink,
-            ghost_cycles: ghost,
-            end_cycles,
-        });
-    }
-    drop(dispatch_span);
-    drop(dispatch_guard);
+            let part = Part {
+                target: n,
+                als: node_als.len(),
+                upload_cycles: uplink,
+                exchange_cycles: ghost,
+                end_cycles: uplink + ghost + fs.makespan_cycles,
+                // The node's transfer path: its contended uplink and ghost
+                // exchange (its clock domain) plus its fleet's own.
+                transfer_s: nodes[n].devices()[0].cycles_to_seconds(uplink + ghost) + r.transfer_s,
+                result: r,
+            };
+            Ok((node_partial, part))
+        },
+    )?;
+    let aggregate = placement::aggregate(g, base, assignment, &runs, kernel.triangles_in(&partial));
 
-    // ---- Deterministic reduction, canonical node-index order. ----
-    let partial = partials
-        .into_iter()
-        .fold(kernel.identity(), |acc, p| kernel.merge(acc, p));
-    let triangles = kernel.triangles_in(&partial);
-    let tests: u128 = runs.iter().map(|r| r.result.tests).sum();
-
-    // ---- Cluster section + aggregate result. ----
-    let makespan_cycles = runs.iter().map(|r| r.end_cycles).max().unwrap_or(0);
-    let uplink_sum: u64 = runs.iter().map(|r| r.uplink_cycles).sum();
-    let ghost_sum: u64 = runs.iter().map(|r| r.ghost_cycles).sum();
-    let compute_sum: u64 = runs.iter().map(|r| r.fleet.makespan_cycles).sum();
-    let mean_end = if runs.is_empty() {
-        0.0
-    } else {
-        runs.iter().map(|r| r.end_cycles as f64).sum::<f64>() / runs.len() as f64
-    };
-    let imbalance = if mean_end > 0.0 {
-        makespan_cycles as f64 / mean_end
-    } else {
-        1.0
-    };
+    // ---- Cluster section. ----
+    let uplink_sum: u64 = runs.iter().map(|r| r.upload_cycles).sum();
+    let ghost_sum: u64 = runs.iter().map(|r| r.exchange_cycles).sum();
     let per_node: Vec<ClusterNodeEntry> = (0..nodes.len())
         .map(|n| {
-            let run = runs.iter().find(|r| r.node == n);
+            let run = runs.iter().find(|r| r.target == n);
             ClusterNodeEntry {
                 fleet: nodes[n].to_string(),
                 lost: lost.contains(&n),
                 als: run.map_or(0, |r| r.als),
-                weight: run.map_or(0, |r| r.weight),
+                weight: plan.placement.loads[n],
                 layout_bytes: run.map_or(0, |r| r.result.layout_bytes),
-                uplink_cycles: run.map_or(0, |r| r.uplink_cycles),
-                ghost_cycles: run.map_or(0, |r| r.ghost_cycles),
+                uplink_cycles: run.map_or(0, |r| r.upload_cycles),
+                ghost_cycles: run.map_or(0, |r| r.exchange_cycles),
                 ghost_vertices: run.map_or(0, |_| ghost_vertices_in[n]),
                 ghost_bytes: run.map_or(0, |_| ghost_bytes_in[n]),
-                fleet_makespan_cycles: run.map_or(0, |r| r.fleet.makespan_cycles),
+                fleet_makespan_cycles: fleet_makespans[n],
                 end_cycles: run.map_or(0, |r| r.end_cycles),
                 triangles: run.map_or(0, |r| r.result.triangles),
             }
@@ -327,13 +303,13 @@ pub fn run_cluster_workload<K: ChunkKernel>(
         reassigned_als: reassigned,
         links,
         inter_tier: net.inter.name.to_string(),
-        makespan_cycles,
-        compute_cycles: compute_sum,
+        makespan_cycles: aggregate.makespan_cycles,
+        compute_cycles: fleet_makespans.iter().sum(),
         uplink_cycles: uplink_sum,
         ghost_cycles: ghost_sum,
         ghost_vertices: ghost_vertices_in.iter().sum(),
         ghost_bytes: ghost_bytes_in.iter().sum(),
-        imbalance,
+        imbalance: aggregate.schedule_imbalance,
         per_node,
     };
 
@@ -345,109 +321,13 @@ pub fn run_cluster_workload<K: ChunkKernel>(
         collector.add("cluster.uplink_cycles", uplink_sum);
         collector.add("cluster.ghost_cycles", ghost_sum);
         collector.add("cluster.ghost_vertices", ghost_vertices_in.iter().sum());
-        collector.add("cluster.makespan_cycles", makespan_cycles);
+        collector.add("cluster.makespan_cycles", aggregate.makespan_cycles);
         collector.add(
             "cluster.strategy_2d",
             u64::from(plan.strategy == PartitionStrategy::TwoD),
         );
-        collector.gauge("cluster.imbalance", imbalance);
+        collector.gauge("cluster.imbalance", aggregate.schedule_imbalance);
     }
-
-    // ---- Aggregate GpuRunResult (same conventions as the fleet layer,
-    // one level up: maxima over nodes for critical-path quantities,
-    // kernel-cycle-weighted means for utilization). ----
-    let kernel_weight: u64 = runs
-        .iter()
-        .map(|r| r.result.kernel_cycles)
-        .sum::<u64>()
-        .max(1);
-    let kernel_cycle_sum: u64 = runs.iter().map(|r| r.result.kernel_cycles).sum();
-    let camping_factor = if kernel_cycle_sum > 0 {
-        runs.iter()
-            .map(|r| r.result.camping_factor * r.result.kernel_cycles as f64)
-            .sum::<f64>()
-            / kernel_weight as f64
-    } else {
-        1.0
-    };
-    let sm_utilization = if kernel_cycle_sum > 0 {
-        runs.iter()
-            .map(|r| r.result.sm_utilization * r.result.kernel_cycles as f64)
-            .sum::<f64>()
-            / kernel_weight as f64
-    } else {
-        1.0
-    };
-    let kernel_cycles = runs
-        .iter()
-        .map(|r| r.result.kernel_cycles)
-        .max()
-        .unwrap_or(0);
-    let kernel_s = runs
-        .iter()
-        .map(|r| r.result.kernel_s)
-        .fold(0.0f64, f64::max);
-    // The cluster's transfer critical path: slowest node's contended
-    // uplink + ghost exchange (its clock domain) + its internal fleet
-    // transfer path.
-    let transfer_s = runs
-        .iter()
-        .map(|r| {
-            nodes[r.node].devices()[0].cycles_to_seconds(r.uplink_cycles + r.ghost_cycles)
-                + r.result.transfer_s
-        })
-        .fold(0.0f64, f64::max);
-    let host_s = base.cost.host_prep_seconds(g.n(), g.m());
-    let context_s = base.cost.gpu_context_init_s;
-
-    // ---- Aggregate profile: node-local ALS indices remap to global
-    // through the same assignment filter order that built node_als;
-    // per-SM counters merge index-wise; per-device entries concatenate
-    // in ascending node order. ----
-    let n_sm = runs
-        .iter()
-        .map(|r| r.result.profile.per_sm.len())
-        .max()
-        .unwrap_or(0);
-    let mut profile = ProfileData::new(als.len(), n_sm);
-    for r in &runs {
-        let globals: Vec<usize> = (0..als.len())
-            .filter(|&j| plan.assignment[j] == r.node)
-            .collect();
-        for (local, c) in r.result.profile.per_als.iter().enumerate() {
-            if let Some(&gj) = globals.get(local) {
-                profile.record_als(gj, c);
-            }
-        }
-        for (i, c) in r.result.profile.per_sm.iter().enumerate() {
-            profile.per_sm[i].merge(c);
-        }
-        profile
-            .devices
-            .extend(r.result.profile.devices.iter().cloned());
-    }
-
-    let faults = merge_fault_outcomes(runs.iter().map(|r| r.result.faults.as_ref()));
-
-    let aggregate = GpuRunResult {
-        triangles,
-        tests,
-        transactions: runs.iter().map(|r| r.result.transactions).sum(),
-        camping_factor,
-        kernel_cycles,
-        kernel_s,
-        transfer_s,
-        host_s,
-        context_s,
-        total_s: kernel_s + transfer_s + host_s + context_s,
-        blocks: runs.iter().map(|r| r.result.blocks).sum(),
-        layout_bytes: runs.iter().map(|r| r.result.layout_bytes).sum(),
-        schedule_imbalance: imbalance,
-        makespan_cycles,
-        sm_utilization,
-        faults,
-        profile,
-    };
     Ok((aggregate, partial, section))
 }
 
@@ -467,8 +347,7 @@ fn cluster_jobs(als: &[Als]) -> Vec<ClusterJob> {
             let pairs = u128::from(a.a()) * u128::from(a.a().saturating_sub(1)) / 2;
             let tests = (pairs * u128::from(a.b().max(1))).max(1);
             let (ghost_vertices, ghost_bytes) = if j > 0 && als[j - 1].component == a.component {
-                let shared = u64::from(a.a());
-                (shared, shared * shared.saturating_sub(1) / 2 / 8 + 1)
+                (u64::from(a.a()), placement::shared_level_bytes(a))
             } else {
                 (0, 0)
             };
@@ -481,76 +360,6 @@ fn cluster_jobs(als: &[Als]) -> Vec<ClusterJob> {
             }
         })
         .collect()
-}
-
-/// Re-emits a node sub-trace onto the cluster-global device lanes: the
-/// node's devices occupy lanes `offset..offset+len`, and everything
-/// shifts by `shift` cycles (past the node's partition uplink and ghost
-/// exchange). Single-device nodes traced on the plain `Sm`/`Pcie` lanes
-/// map onto lane `offset`; multi-device nodes traced on `DeviceSm`/
-/// `DevicePcie` lanes map by offset. Host-track spans are dropped — the
-/// cluster path emits its own phases; histograms merge.
-fn harvest_node_trace(tracer: &Tracer, sub: &Tracer, offset: u32, shift: u64) {
-    for s in sub.spans() {
-        let track = match s.track {
-            Track::Sm(i) => Track::DeviceSm(offset, i),
-            Track::Pcie => Track::DevicePcie(offset),
-            Track::DeviceSm(d, i) => Track::DeviceSm(offset + d, i),
-            Track::DevicePcie(d) => Track::DevicePcie(offset + d),
-            Track::Host => continue,
-        };
-        let args: Vec<(&str, AttrValue)> = s
-            .args
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.clone()))
-            .collect();
-        tracer.device_span(&s.name, &s.cat, track, s.start + shift, s.dur, &args);
-    }
-    for i in sub.instants() {
-        let track = match i.track {
-            Track::Sm(m) => Track::DeviceSm(offset, m),
-            Track::Pcie => Track::DevicePcie(offset),
-            Track::DeviceSm(d, m) => Track::DeviceSm(offset + d, m),
-            Track::DevicePcie(d) => Track::DevicePcie(offset + d),
-            Track::Host => continue,
-        };
-        tracer.instant_at(&i.name, track, i.at + shift);
-    }
-    for c in sub.counters() {
-        let track = match c.track {
-            Track::Sm(m) => Track::DeviceSm(offset, m),
-            Track::DeviceSm(d, m) => Track::DeviceSm(offset + d, m),
-            _ => continue,
-        };
-        tracer.counter(&c.name, track, c.at + shift, c.value);
-    }
-    tracer.absorb_histograms(sub);
-}
-
-/// Folds per-node fault outcomes into one cluster-level outcome:
-/// injected counts and recovery counters sum, the event logs
-/// concatenate in node order, and the CPU-fallback flag ORs.
-fn merge_fault_outcomes<'a, I>(outcomes: I) -> Option<FaultOutcome>
-where
-    I: Iterator<Item = Option<&'a FaultOutcome>>,
-{
-    let mut merged: Option<FaultOutcome> = None;
-    for o in outcomes.flatten() {
-        let m = merged.get_or_insert_with(FaultOutcome::new);
-        m.injected.ecc += o.injected.ecc;
-        m.injected.xfer += o.injected.xfer;
-        m.injected.abort += o.injected.abort;
-        m.injected.stall += o.injected.stall;
-        m.transfer_retries += o.transfer_retries;
-        m.chunk_retries += o.chunk_retries;
-        m.reassigned_chunks += o.reassigned_chunks;
-        m.cpu_fallback_chunks += o.cpu_fallback_chunks;
-        m.run_cpu_fallback |= o.run_cpu_fallback;
-        m.stalled_sms += o.stalled_sms;
-        m.backoff_cycles += o.backoff_cycles;
-        m.events.extend(o.events.iter().cloned());
-    }
-    merged
 }
 
 /// The cluster section of a one-node cluster: derived from the verbatim

@@ -10,7 +10,7 @@
 //! coalescing/partition machinery as the triangle kernel.
 
 use crate::als::Als;
-use crate::gpu_exec::{GpuConfig, GpuError};
+use crate::gpu_exec::{GpuConfig, GpuError, GpuRunResult};
 use crate::layout::{GlobalLayout, LayoutKind};
 use crate::workload::ChunkKernel;
 use rayon::prelude::*;
@@ -22,26 +22,6 @@ use trigon_gpu_sim::{
 use trigon_graph::Graph;
 use trigon_telemetry::{Collector, Tracer};
 
-/// Result of a simulated k-clique run.
-#[derive(Debug, Clone)]
-pub struct KCliqueRunResult {
-    /// Exact `k`-clique count.
-    pub cliques: u64,
-    /// Combination tests performed.
-    pub tests: u128,
-    /// Global-memory transactions issued.
-    pub transactions: u64,
-    /// Kernel seconds.
-    pub kernel_s: f64,
-    /// End-to-end modeled seconds.
-    pub total_s: f64,
-    /// Thread blocks simulated.
-    pub blocks: usize,
-    /// Counter attribution per ALS and per LPT-scheduled SM.
-    /// Instructions scale with the `C(k,2)` pair tests per combination.
-    pub profile: ProfileData,
-}
-
 /// Runs the simulated k-clique kernel exhaustively over `als` (small
 /// graphs; the space is `Σ C(a+b, k)`) for an arbitrary [`ChunkKernel`]
 /// workload. `kernel.emit` fires once per combination passing the
@@ -50,6 +30,11 @@ pub struct KCliqueRunResult {
 /// unfinalized. Records host phase spans, the PCIe transfer span, and
 /// one simulated-time span per LPT-scheduled block on its SM lane into
 /// `tracer`.
+///
+/// The result's `triangles` is the `k`-clique count; camping is not
+/// modeled on this path (factor 1.0), and the kernel cycles are the
+/// LPT makespan. Instructions in the profile scale with the `C(k,2)`
+/// pair tests per combination.
 ///
 /// # Errors
 ///
@@ -66,7 +51,7 @@ pub fn run_k_cliques_workload_traced<K: ChunkKernel>(
     kernel: &K,
     collector: &mut Collector,
     tracer: &Tracer,
-) -> Result<(KCliqueRunResult, K::Partial), GpuError> {
+) -> Result<(GpuRunResult, K::Partial), GpuError> {
     assert!(k >= 2, "k-cliques need k ≥ 2");
     let spec = &cfg.device;
     tracer.set_device_clock_hz(spec.clock_hz as f64);
@@ -249,16 +234,15 @@ pub fn run_k_cliques_workload_traced<K: ChunkKernel>(
             tracer.record("block.cycles", r.cycles as f64);
         }
     }
-    let total_s = kernel_s
-        + transfer_s
-        + cfg.cost.host_prep_seconds(g.n(), g.m())
-        + cfg.cost.gpu_context_init_s;
+    let host_s = cfg.cost.host_prep_seconds(g.n(), g.m());
+    let context_s = cfg.cost.gpu_context_init_s;
+    let sm_utilization = emit::sm_utilization(&schedule.loads);
     if collector.enabled() {
         emit::emit_transfer(collector, &transfer_model, layout.total_bytes());
         collector.add("gpu.transactions", transactions);
         collector.add("gpu.makespan_cycles", schedule.makespan());
         collector.add("gpu.blocks", results.len() as u64);
-        collector.gauge("gpu.sm_utilization", emit::sm_utilization(&schedule.loads));
+        collector.gauge("gpu.sm_utilization", sm_utilization);
         collector.gauge("gpu.schedule_imbalance", schedule.imbalance());
     }
     // Deterministic reduction: fold block partials in work-list order.
@@ -267,13 +251,23 @@ pub fn run_k_cliques_workload_traced<K: ChunkKernel>(
         .into_iter()
         .fold(kernel.identity(), |acc, r| kernel.merge(acc, r.partial));
     Ok((
-        KCliqueRunResult {
-            cliques: kernel.triangles_in(&partial),
+        GpuRunResult {
+            triangles: kernel.triangles_in(&partial),
             tests,
             transactions,
+            camping_factor: 1.0,
+            kernel_cycles: schedule.makespan(),
             kernel_s,
-            total_s,
+            transfer_s,
+            host_s,
+            context_s,
+            total_s: kernel_s + transfer_s + host_s + context_s,
             blocks,
+            layout_bytes: layout.total_bytes(),
+            schedule_imbalance: schedule.imbalance(),
+            makespan_cycles: schedule.makespan(),
+            sm_utilization,
+            faults: None,
             profile,
         },
         partial,
@@ -294,7 +288,7 @@ mod tests {
         GpuConfig::optimized(DeviceSpec::c1060())
     }
 
-    fn run_k_cliques(g: &Graph, cfg: &GpuConfig, k: u32) -> Result<KCliqueRunResult, GpuError> {
+    fn run_k_cliques(g: &Graph, cfg: &GpuConfig, k: u32) -> Result<GpuRunResult, GpuError> {
         run_k_cliques_workload_traced(
             g,
             &build_als(g),
@@ -311,7 +305,10 @@ mod tests {
     fn k3_matches_triangle_pipeline() {
         let g = gen::gnp(70, 0.12, 3);
         let r = run_k_cliques(&g, &cfg(), 3).unwrap();
-        assert_eq!(r.cliques, trigon_graph::triangles::count_edge_iterator(&g));
+        assert_eq!(
+            r.triangles,
+            trigon_graph::triangles::count_edge_iterator(&g)
+        );
         assert_eq!(r.tests, crate::count::total_tests(&g));
     }
 
@@ -322,7 +319,7 @@ mod tests {
             for k in [4u32, 5] {
                 let r = run_k_cliques(&g, &cfg(), k).unwrap();
                 assert_eq!(
-                    r.cliques,
+                    r.triangles,
                     kcount::count_k_cliques(&g, k),
                     "seed {seed} k {k}"
                 );
@@ -334,7 +331,7 @@ mod tests {
     fn complete_graph_closed_form() {
         let g = gen::complete(12);
         let r = run_k_cliques(&g, &cfg(), 4).unwrap();
-        assert_eq!(u128::from(r.cliques), binom(12, 4));
+        assert_eq!(u128::from(r.triangles), binom(12, 4));
         assert!(r.kernel_s > 0.0);
         assert!(r.transactions > 0);
     }
@@ -342,10 +339,10 @@ mod tests {
     #[test]
     fn bipartite_has_no_cliques_past_2() {
         let g = gen::complete_bipartite(8, 8);
-        assert_eq!(run_k_cliques(&g, &cfg(), 3).unwrap().cliques, 0);
-        assert_eq!(run_k_cliques(&g, &cfg(), 4).unwrap().cliques, 0);
+        assert_eq!(run_k_cliques(&g, &cfg(), 3).unwrap().triangles, 0);
+        assert_eq!(run_k_cliques(&g, &cfg(), 4).unwrap().triangles, 0);
         // k = 2 cliques are edges.
-        assert_eq!(run_k_cliques(&g, &cfg(), 2).unwrap().cliques, 64);
+        assert_eq!(run_k_cliques(&g, &cfg(), 2).unwrap().triangles, 64);
     }
 
     #[test]
@@ -368,7 +365,7 @@ mod tests {
     fn naive_layout_also_counts_exactly() {
         let g = gen::gnp(50, 0.2, 2);
         let naive = run_k_cliques(&g, &GpuConfig::naive(DeviceSpec::c1060()), 4).unwrap();
-        assert_eq!(naive.cliques, kcount::count_k_cliques(&g, 4));
+        assert_eq!(naive.triangles, kcount::count_k_cliques(&g, 4));
     }
 
     #[test]

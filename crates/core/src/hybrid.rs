@@ -76,6 +76,9 @@ pub struct HybridResult {
     pub global_als: usize,
     /// Chunks of the underlying split.
     pub split: SplitResult,
+    /// Eq. 9 bank-conflict degree of the shared-tier access pattern:
+    /// one broadcast row word plus consecutive column words per lane.
+    pub bank_conflict_degree: u32,
     /// Kernel seconds under LPT makespan scheduling of all ALS jobs.
     pub kernel_s: f64,
     /// Kernel seconds under the paper's naive Eq. 6 pipeline (shared
@@ -197,8 +200,8 @@ pub fn run_hybrid_workload_traced<K: ChunkKernel>(
     // (consecutive words): the extra serialized accesses beyond the
     // conflict-free cost, per load phase.
     let bank_addrs: Vec<u64> = (0..spec.warp_size as u64).map(|l| l * 4).collect();
-    let conflict_extra =
-        u64::from(bank_conflict_degree(&bank_addrs, spec.shared_banks).saturating_sub(1));
+    let conflict_degree = bank_conflict_degree(&bank_addrs, spec.shared_banks);
+    let conflict_extra = u64::from(conflict_degree.saturating_sub(1));
     let mut tau_shared_total = 0.0f64;
     let mut tau_global_total = 0.0f64;
     let mut shared_n = 0usize;
@@ -379,14 +382,8 @@ pub fn run_hybrid_workload_traced<K: ChunkKernel>(
             "gpu.sm_utilization",
             trigon_gpu_sim::sm_utilization(&schedule.loads),
         );
-        // The shared-tier kernel reads one broadcast row word plus
-        // consecutive column words per lane; record its Eq. 9 conflict
-        // degree (pricing stays conflict-free — this documents why).
-        let addrs: Vec<u64> = (0..spec.warp_size as u64).map(|l| l * 4).collect();
-        collector.gauge(
-            "shared.bank_conflict_degree",
-            f64::from(bank_conflict_degree(&addrs, spec.shared_banks)),
-        );
+        // Pricing stays conflict-free; the recorded degree documents why.
+        collector.gauge("shared.bank_conflict_degree", f64::from(conflict_degree));
     }
 
     (
@@ -396,6 +393,7 @@ pub fn run_hybrid_workload_traced<K: ChunkKernel>(
             shared_als: shared_n,
             global_als: global_n,
             split,
+            bank_conflict_degree: conflict_degree,
             kernel_s,
             eq6_s,
             total_s,

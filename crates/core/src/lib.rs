@@ -64,6 +64,7 @@ pub mod kcount;
 pub mod layout;
 pub mod multi;
 pub mod pipeline;
+mod placement;
 pub mod report;
 pub mod split;
 pub mod timemodel;
@@ -77,7 +78,6 @@ pub use capacity::{
 pub use cluster::{run_cluster, run_cluster_workload};
 pub use error::Error;
 pub use gpu_exec::{GpuConfig, GpuRunResult, SchedulePolicy, WorkDivision};
-pub use gpu_kcount::KCliqueRunResult;
 pub use hybrid::{HybridConfig, HybridResult, Placement};
 pub use intersect::{IntersectKernel, IntersectStats, OrientedCsr};
 pub use layout::{GlobalLayout, LayoutKind};

@@ -16,27 +16,30 @@
 //! [`trigon_fleet::plan_shards`] — heterogeneity-aware LPT of ALS jobs
 //! across devices, capacity-gated by Eq. 1 per device; the *inner*
 //! instance is the existing per-SM schedule inside each shard's
-//! [`gpu_exec`] run, untouched.
+//! [`gpu_exec`] run, untouched. The shard loop, the trace harvest, the
+//! fold and the aggregate result are the placement layer the cluster
+//! tier shares; this module keeps the shard planner, the H2D/D2D
+//! pricing, the one-device passthrough and the fleet section.
 //!
 //! A fleet of **one** device with no device loss delegates verbatim to
 //! [`gpu_exec::run_workload_traced_with_als`] on the caller's tracer —
 //! the trace and the report (minus the `fleet` section) are
 //! byte-identical to a plain single-device run by construction. With
-//! two or more devices each shard runs against a private sub-tracer;
-//! its SM spans are harvested onto per-device [`Track::DeviceSm`]
-//! lanes, shifted past the contended H2D upload and the D2D boundary
-//! exchange, and its histograms are merged into the fleet trace.
+//! two or more devices the shared placement layer runs each shard
+//! against a private sub-tracer; its SM spans are harvested onto
+//! per-device [`Track::DeviceSm`] lanes, shifted past the contended H2D
+//! upload and the D2D boundary exchange, and its histograms are merged
+//! into the fleet trace.
 
 use crate::als::{build_als, Als};
 use crate::gpu_exec::{self, GpuConfig, GpuError, GpuRunResult};
+use crate::placement::{self, Part};
 use crate::report::{FleetDeviceEntry, FleetSection};
 use crate::workload::{ChunkKernel, CountKernel};
-use trigon_fleet::{
-    plan_shards, reassign_lost, seconds_to_cycles, FleetSpec, Interconnect, LossPlan, ShardJob,
-};
-use trigon_gpu_sim::{DeviceSpec, ProfileData, TransferModel};
+use trigon_fleet::{plan_shards, seconds_to_cycles, FleetSpec, Interconnect, LossPlan, ShardJob};
+use trigon_gpu_sim::{DeviceSpec, TransferModel};
 use trigon_graph::Graph;
-use trigon_telemetry::{AttrValue, Collector, Level, Tracer, Track};
+use trigon_telemetry::{AttrValue, Collector, Tracer, Track};
 
 /// Runs the simulated triangle count across a fleet of devices over the
 /// graph's whole ALS decomposition: builds it once with [`build_als`]
@@ -143,18 +146,10 @@ pub fn run_fleet_workload<K: ChunkKernel>(
     };
 
     // ---- Device loss: reshard orphans onto survivors (online Graham). ----
-    let mut reassigned = 0;
-    if !lost.is_empty() {
-        for &d in &lost {
-            tracer.instant_at("fleet.device_lost", Track::DevicePcie(d as u32), 0);
-        }
-        reassigned = reassign_lost(&mut plan, &jobs, &lost);
-    }
-
-    let alive: Vec<bool> = (0..devices.len()).map(|d| !lost.contains(&d)).collect();
-    let active: Vec<usize> = (0..devices.len())
-        .filter(|&d| alive[d] && plan.assignment.contains(&d))
-        .collect();
+    let (reassigned, active) =
+        placement::reshard(&mut plan, &jobs, &lost, tracer, "fleet.device_lost", |d| {
+            d as u32
+        });
     let links = active.len().max(1);
 
     // ---- D2D boundary exchange: consecutive ALS of one component share
@@ -162,146 +157,111 @@ pub fn run_fleet_workload<K: ChunkKernel>(
     // device receives the shared level's S-UTM adjacency. ----
     let mut d2d_cycles_in = vec![0u64; devices.len()];
     let mut d2d_bytes_in = vec![0u64; devices.len()];
-    for j in 1..als.len() {
-        if als[j].component != als[j - 1].component {
-            continue;
-        }
-        let (src, dst) = (plan.assignment[j - 1], plan.assignment[j]);
-        if src == dst {
-            continue;
-        }
-        let shared = u64::from(als[j].a());
-        let bytes = shared * shared.saturating_sub(1) / 2 / 8 + 1;
+    for (j, src, dst) in placement::boundary_moves(als, &plan.assignment) {
+        let bytes = placement::shared_level_bytes(&als[j]);
         let sm = TransferModel::from_spec(&devices[src]);
         let dm = TransferModel::from_spec(&devices[dst]);
         d2d_cycles_in[dst] += Interconnect::d2d_cycles(&sm, &dm, bytes, devices[dst].clock_hz);
         d2d_bytes_in[dst] += bytes;
     }
 
-    // ---- Run each shard; harvest its trace onto fleet lanes. ----
-    struct Shard {
-        device: usize,
-        als: usize,
-        weight: u64,
-        result: GpuRunResult,
-        h2d_cycles: u64,
-        d2d_cycles: u64,
-        end_cycles: u64,
-    }
-    let dispatch_guard = collector.phase("dispatch");
-    let dispatch_span = tracer.span("dispatch", "phase");
-    let mut shards: Vec<Shard> = Vec::with_capacity(active.len());
-    let mut partials: Vec<K::Partial> = Vec::with_capacity(active.len());
-    for &d in &active {
-        let shard_als: Vec<Als> = als
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| plan.assignment[j] == d)
-            .map(|(_, a)| a.clone())
-            .collect();
-        let mut dcfg = base.clone();
-        dcfg.device = devices[d].clone();
-        dcfg.faults = None;
-        let sub = if tracer.enabled() {
-            Tracer::with_clock(Level::Trace, tracer.clock())
-        } else {
-            Tracer::disabled()
-        };
-        let (r, shard_partial) = gpu_exec::run_workload_traced_with_als(
-            g,
-            &shard_als,
-            &dcfg,
-            kernel,
-            &mut Collector::disabled(),
-            &sub,
-        )?;
-        partials.push(shard_partial);
-
-        let model = TransferModel::from_spec(&devices[d]);
-        let clock = devices[d].clock_hz;
-        // The sub-run priced its own (uncontended) upload and started its
-        // kernel right after it; re-derive that end with the exact `ceil`
-        // formula of `trigon_gpu_sim::emit` so the shift is gap-free.
-        let internal_end = seconds_to_cycles(model.transfer_seconds(r.layout_bytes), clock);
-        let h2d = Interconnect::h2d_cycles(&model, r.layout_bytes, links, clock);
-        let d2d = d2d_cycles_in[d];
-        let shift = h2d + d2d - internal_end;
-        if tracer.enabled() {
-            let du = d as u32;
-            tracer.device_span(
-                "H2D transfer",
-                "pcie",
-                Track::DevicePcie(du),
-                0,
-                h2d,
-                &[
-                    ("bytes", AttrValue::UInt(r.layout_bytes)),
-                    ("links", AttrValue::UInt(links as u64)),
-                    ("bandwidth_Bps", AttrValue::UInt(model.bandwidth)),
-                    ("latency_s", AttrValue::Float(model.latency_s)),
-                ],
-            );
-            if d2d > 0 {
+    // ---- Run each shard on its device; harvest its SM lanes. ----
+    let (partial, shards) = placement::run_parts(
+        als,
+        &plan.assignment,
+        &active,
+        kernel,
+        collector,
+        tracer,
+        |d, shard_als, sub| {
+            let mut dcfg = base.clone();
+            dcfg.device = devices[d].clone();
+            dcfg.faults = None;
+            let (r, shard_partial) = gpu_exec::run_workload_traced_with_als(
+                g,
+                shard_als,
+                &dcfg,
+                kernel,
+                &mut Collector::disabled(),
+                sub,
+            )?;
+            let model = TransferModel::from_spec(&devices[d]);
+            let clock = devices[d].clock_hz;
+            // The sub-run priced its own (uncontended) upload and started
+            // its kernel right after it; re-derive that end with the exact
+            // `ceil` formula of `trigon_gpu_sim::emit` so the shift is
+            // gap-free.
+            let internal_end = seconds_to_cycles(model.transfer_seconds(r.layout_bytes), clock);
+            let h2d = Interconnect::h2d_cycles(&model, r.layout_bytes, links, clock);
+            let d2d = d2d_cycles_in[d];
+            if tracer.enabled() {
+                let du = d as u32;
                 tracer.device_span(
-                    "D2D exchange",
+                    "H2D transfer",
                     "pcie",
                     Track::DevicePcie(du),
+                    0,
                     h2d,
-                    d2d,
-                    &[("bytes", AttrValue::UInt(d2d_bytes_in[d]))],
+                    &[
+                        ("bytes", AttrValue::UInt(r.layout_bytes)),
+                        ("links", AttrValue::UInt(links as u64)),
+                        ("bandwidth_Bps", AttrValue::UInt(model.bandwidth)),
+                        ("latency_s", AttrValue::Float(model.latency_s)),
+                    ],
                 );
+                if d2d > 0 {
+                    tracer.device_span(
+                        "D2D exchange",
+                        "pcie",
+                        Track::DevicePcie(du),
+                        h2d,
+                        d2d,
+                        &[("bytes", AttrValue::UInt(d2d_bytes_in[d]))],
+                    );
+                }
+                // Only the SM lanes: the fleet emitted its own contended
+                // upload in place of the sub-run's.
+                placement::harvest(tracer, sub, h2d + d2d - internal_end, |t| match t {
+                    Track::Sm(i) => Some(Track::DeviceSm(du, i)),
+                    _ => None,
+                });
             }
-            harvest_shard_trace(tracer, &sub, du, shift);
-        }
-        let end_cycles = h2d + d2d + r.kernel_cycles;
-        shards.push(Shard {
-            device: d,
-            als: shard_als.len(),
-            weight: plan.loads[d],
-            result: r,
-            h2d_cycles: h2d,
-            d2d_cycles: d2d,
-            end_cycles,
-        });
-    }
-    drop(dispatch_span);
-    drop(dispatch_guard);
+            let part = Part {
+                target: d,
+                als: shard_als.len(),
+                upload_cycles: h2d,
+                exchange_cycles: d2d,
+                end_cycles: h2d + d2d + r.kernel_cycles,
+                // The shard's transfer path: its contended upload plus
+                // its boundary exchange, in its own clock domain.
+                transfer_s: devices[d].cycles_to_seconds(h2d + d2d),
+                result: r,
+            };
+            Ok((shard_partial, part))
+        },
+    )?;
+    let aggregate = placement::aggregate(
+        g,
+        base,
+        &plan.assignment,
+        &shards,
+        kernel.triangles_in(&partial),
+    );
 
-    // ---- Deterministic reduction, canonical device-index order.
-    // `partials` was pushed in ascending `active` order, so the fold
-    // visits shards in device-index order regardless of workload. ----
-    let partial = partials
-        .into_iter()
-        .fold(kernel.identity(), |acc, p| kernel.merge(acc, p));
-    let triangles = kernel.triangles_in(&partial);
-    let tests: u128 = shards.iter().map(|s| s.result.tests).sum();
-
-    // ---- Fleet section + aggregate result. ----
-    let makespan_cycles = shards.iter().map(|s| s.end_cycles).max().unwrap_or(0);
-    let h2d_sum: u64 = shards.iter().map(|s| s.h2d_cycles).sum();
-    let d2d_sum: u64 = shards.iter().map(|s| s.d2d_cycles).sum();
-    let compute_sum: u64 = shards.iter().map(|s| s.result.kernel_cycles).sum();
-    let mean_end = if shards.is_empty() {
-        0.0
-    } else {
-        shards.iter().map(|s| s.end_cycles as f64).sum::<f64>() / shards.len() as f64
-    };
-    let imbalance = if mean_end > 0.0 {
-        makespan_cycles as f64 / mean_end
-    } else {
-        1.0
-    };
+    // ---- Fleet section. ----
+    let h2d_sum: u64 = shards.iter().map(|s| s.upload_cycles).sum();
+    let d2d_sum: u64 = shards.iter().map(|s| s.exchange_cycles).sum();
     let per_device: Vec<FleetDeviceEntry> = (0..devices.len())
         .map(|d| {
-            let shard = shards.iter().find(|s| s.device == d);
+            let shard = shards.iter().find(|s| s.target == d);
             FleetDeviceEntry {
                 device: devices[d].name.to_string(),
                 lost: lost.contains(&d),
                 als: shard.map_or(0, |s| s.als),
-                weight: shard.map_or(0, |s| s.weight),
+                weight: plan.loads[d],
                 layout_bytes: shard.map_or(0, |s| s.result.layout_bytes),
-                h2d_cycles: shard.map_or(0, |s| s.h2d_cycles),
-                d2d_cycles: shard.map_or(0, |s| s.d2d_cycles),
+                h2d_cycles: shard.map_or(0, |s| s.upload_cycles),
+                d2d_cycles: shard.map_or(0, |s| s.exchange_cycles),
                 kernel_cycles: shard.map_or(0, |s| s.result.kernel_cycles),
                 end_cycles: shard.map_or(0, |s| s.end_cycles),
                 triangles: shard.map_or(0, |s| s.result.triangles),
@@ -314,11 +274,11 @@ pub fn run_fleet_workload<K: ChunkKernel>(
         lost_devices: lost.len(),
         reassigned_als: reassigned,
         links,
-        makespan_cycles,
-        compute_cycles: compute_sum,
+        makespan_cycles: aggregate.makespan_cycles,
+        compute_cycles: shards.iter().map(|s| s.result.kernel_cycles).sum(),
         h2d_cycles: h2d_sum,
         d2d_cycles: d2d_sum,
-        imbalance,
+        imbalance: aggregate.schedule_imbalance,
         per_device,
     };
 
@@ -328,135 +288,10 @@ pub fn run_fleet_workload<K: ChunkKernel>(
         collector.add("fleet.reassigned_als", reassigned as u64);
         collector.add("fleet.h2d_cycles", h2d_sum);
         collector.add("fleet.d2d_cycles", d2d_sum);
-        collector.add("fleet.makespan_cycles", makespan_cycles);
-        collector.gauge("fleet.imbalance", imbalance);
+        collector.add("fleet.makespan_cycles", aggregate.makespan_cycles);
+        collector.gauge("fleet.imbalance", aggregate.schedule_imbalance);
     }
-
-    let kernel_weight: u64 = compute_sum.max(1);
-    let camping_factor = if compute_sum > 0 {
-        shards
-            .iter()
-            .map(|s| s.result.camping_factor * s.result.kernel_cycles as f64)
-            .sum::<f64>()
-            / kernel_weight as f64
-    } else {
-        1.0
-    };
-    let sm_utilization = if compute_sum > 0 {
-        shards
-            .iter()
-            .map(|s| s.result.sm_utilization * s.result.kernel_cycles as f64)
-            .sum::<f64>()
-            / kernel_weight as f64
-    } else {
-        1.0
-    };
-    let kernel_cycles = shards
-        .iter()
-        .map(|s| s.result.kernel_cycles)
-        .max()
-        .unwrap_or(0);
-    let kernel_s = shards
-        .iter()
-        .map(|s| s.result.kernel_s)
-        .fold(0.0f64, f64::max);
-    // The fleet's transfer critical path: slowest device's contended
-    // upload plus its boundary exchange, in its own clock domain.
-    let transfer_s = shards
-        .iter()
-        .map(|s| devices[s.device].cycles_to_seconds(s.h2d_cycles + s.d2d_cycles))
-        .fold(0.0f64, f64::max);
-    let host_s = base.cost.host_prep_seconds(g.n(), g.m());
-    let context_s = base.cost.gpu_context_init_s;
-
-    // ---- Aggregate profile. Shard-local ALS attribution remaps to
-    // global ALS indices through the same `plan.assignment` filter
-    // order that built each `shard_als`; per-SM counters merge
-    // index-wise; per-device entries concatenate in ascending device
-    // order (each shard run pushed exactly one). Counters were priced
-    // before dispatch, so this aggregate is bit-identical to the
-    // single-device profile of the same plan regardless of loss. ----
-    let n_sm = shards
-        .iter()
-        .map(|s| s.result.profile.per_sm.len())
-        .max()
-        .unwrap_or(0);
-    let mut profile = ProfileData::new(als.len(), n_sm);
-    for s in &shards {
-        let globals: Vec<usize> = (0..als.len())
-            .filter(|&j| plan.assignment[j] == s.device)
-            .collect();
-        for (local, c) in s.result.profile.per_als.iter().enumerate() {
-            if let Some(&gj) = globals.get(local) {
-                profile.record_als(gj, c);
-            }
-        }
-        for (i, c) in s.result.profile.per_sm.iter().enumerate() {
-            profile.per_sm[i].merge(c);
-        }
-        profile
-            .devices
-            .extend(s.result.profile.devices.iter().cloned());
-    }
-
-    let aggregate = GpuRunResult {
-        triangles,
-        tests,
-        transactions: shards.iter().map(|s| s.result.transactions).sum(),
-        camping_factor,
-        kernel_cycles,
-        kernel_s,
-        transfer_s,
-        host_s,
-        context_s,
-        total_s: kernel_s + transfer_s + host_s + context_s,
-        blocks: shards.iter().map(|s| s.result.blocks).sum(),
-        layout_bytes: shards.iter().map(|s| s.result.layout_bytes).sum(),
-        schedule_imbalance: imbalance,
-        makespan_cycles,
-        sm_utilization,
-        faults: None,
-        profile,
-    };
     Ok((aggregate, partial, section))
-}
-
-/// Re-emits a shard sub-trace onto fleet device `d`'s lanes: SM spans,
-/// instants, and counter samples shift by `shift` cycles (past the
-/// contended upload and boundary exchange); the sub-run's host phases
-/// and uncontended PCIe span are dropped — the fleet path emits its
-/// own; histograms merge.
-fn harvest_shard_trace(tracer: &Tracer, sub: &Tracer, d: u32, shift: u64) {
-    for s in sub.spans() {
-        if let Track::Sm(i) = s.track {
-            let args: Vec<(&str, AttrValue)> = s
-                .args
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.clone()))
-                .collect();
-            tracer.device_span(
-                &s.name,
-                &s.cat,
-                Track::DeviceSm(d, i),
-                s.start + shift,
-                s.dur,
-                &args,
-            );
-        }
-    }
-    for i in sub.instants() {
-        match i.track {
-            Track::Sm(m) => tracer.instant_at(&i.name, Track::DeviceSm(d, m), i.at + shift),
-            Track::Pcie => tracer.instant_at(&i.name, Track::DevicePcie(d), i.at + shift),
-            _ => {}
-        }
-    }
-    for c in sub.counters() {
-        if let Track::Sm(m) = c.track {
-            tracer.counter(&c.name, Track::DeviceSm(d, m), c.at + shift, c.value);
-        }
-    }
-    tracer.absorb_histograms(sub);
 }
 
 /// The fleet section of a one-device fleet: derived from the verbatim

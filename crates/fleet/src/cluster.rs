@@ -26,7 +26,7 @@
 //! reproduces the serial count bit-identically; the choice moves only
 //! simulated time.
 
-use crate::{device_speed, FleetSpec, Interconnect};
+use crate::{device_speed, FleetPlan, FleetSpec, Interconnect};
 use std::fmt;
 
 /// A parsed multi-node roster, e.g. `"4x(2xC2050)"` or
@@ -265,12 +265,10 @@ impl PartitionStrategy {
 /// A computed node assignment for a cluster job list.
 #[derive(Debug, Clone)]
 pub struct ClusterPlan {
-    /// `assignment[j]` = node index of job `j`.
-    pub assignment: Vec<usize>,
-    /// Summed job weight per node.
-    pub loads: Vec<u64>,
-    /// Summed job bytes per node.
-    pub bytes: Vec<u64>,
+    /// The placement proper, in the fleet's shape: `assignment[j]` =
+    /// node index of job `j`, plus summed job weight and bytes per node
+    /// (so [`crate::reassign_lost`] reshards lost nodes too).
+    pub placement: FleetPlan,
     /// The layout actually used ([`PartitionStrategy::OneD`] or
     /// [`PartitionStrategy::TwoD`], never `Auto`).
     pub strategy: PartitionStrategy,
@@ -323,9 +321,11 @@ pub fn plan_cluster(
         bytes[node] = bytes[node].saturating_add(jobs[j].bytes);
     }
     ClusterPlan {
-        assignment,
-        loads,
-        bytes,
+        placement: FleetPlan {
+            assignment,
+            loads,
+            bytes,
+        },
         strategy: resolved,
         auto,
         predicted_one_d_cycles: cost_1d,
@@ -448,45 +448,9 @@ pub fn predict_cost(
         .unwrap_or(0)
 }
 
-/// Migrates every job owned by a lost node onto the survivors with the
-/// online Graham step — each orphan (in job order) goes to the currently
-/// least-loaded survivor, the same policy [`crate::reassign_lost`] uses
-/// one level down for lost devices. Returns the number of jobs moved.
-///
-/// # Panics
-///
-/// Panics when `lost` covers the whole cluster (callers must keep at
-/// least one survivor, which [`crate::LossPlan::targets`] guarantees).
-pub fn reassign_lost_nodes(plan: &mut ClusterPlan, jobs: &[ClusterJob], lost: &[usize]) -> usize {
-    let mut alive = vec![true; plan.loads.len()];
-    for &d in lost {
-        alive[d] = false;
-        plan.loads[d] = 0;
-        plan.bytes[d] = 0;
-    }
-    assert!(
-        alive.iter().any(|&a| a),
-        "node loss must leave at least one survivor"
-    );
-    let mut moved = 0;
-    for j in 0..plan.assignment.len() {
-        if alive[plan.assignment[j]] {
-            continue;
-        }
-        let t = trigon_sched::least_loaded_alive(&plan.loads, &alive)
-            .expect("at least one survivor is alive");
-        plan.assignment[j] = t;
-        plan.loads[t] += jobs[j].weight;
-        plan.bytes[t] = plan.bytes[t].saturating_add(jobs[j].bytes);
-        moved += 1;
-    }
-    moved
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LossPlan;
 
     fn job(weight: u64, component: u32, ghost_bytes: u64) -> ClusterJob {
         ClusterJob {
@@ -600,7 +564,7 @@ mod tests {
         for (j, job) in jobs.iter().enumerate() {
             for (k, other) in jobs.iter().enumerate() {
                 if job.component == other.component {
-                    assert_eq!(plan.assignment[j], plan.assignment[k]);
+                    assert_eq!(plan.placement.assignment[j], plan.placement.assignment[k]);
                 }
             }
         }
@@ -620,15 +584,22 @@ mod tests {
             PartitionStrategy::TwoD,
         );
         // Monotone non-decreasing assignment = contiguous blocks.
-        for w in plan.assignment.windows(2) {
+        for w in plan.placement.assignment.windows(2) {
             assert!(w[0] <= w[1]);
         }
         for d in 0..4 {
-            assert!(plan.assignment.contains(&d), "node {d} got no work");
+            assert!(
+                plan.placement.assignment.contains(&d),
+                "node {d} got no work"
+            );
         }
-        let max = *plan.loads.iter().max().unwrap();
-        let min = *plan.loads.iter().min().unwrap();
-        assert!(max - min <= 100, "blocks should balance: {:?}", plan.loads);
+        let max = *plan.placement.loads.iter().max().unwrap();
+        let min = *plan.placement.loads.iter().min().unwrap();
+        assert!(
+            max - min <= 100,
+            "blocks should balance: {:?}",
+            plan.placement.loads
+        );
     }
 
     #[test]
@@ -684,32 +655,10 @@ mod tests {
             PartitionStrategy::TwoD,
         );
         assert!(
-            plan.loads[1] > 2 * plan.loads[0],
+            plan.placement.loads[1] > 2 * plan.placement.loads[0],
             "speed-proportional blocks: {:?}",
-            plan.loads
+            plan.placement.loads
         );
-    }
-
-    #[test]
-    fn reassign_moves_every_orphan_to_survivors() {
-        let jobs: Vec<ClusterJob> = (0..12).map(|i| job(10 + i, (i % 4) as u32, 8)).collect();
-        let speeds = homogeneous_speeds(4);
-        let mut plan = plan_cluster(
-            &jobs,
-            &speeds,
-            &Interconnect::cluster_default(),
-            1_150_000_000,
-            PartitionStrategy::TwoD,
-        );
-        let before: u64 = plan.loads.iter().sum();
-        let lost = LossPlan::new(2, 7).targets(4);
-        let moved = reassign_lost_nodes(&mut plan, &jobs, &lost);
-        assert!(moved > 0);
-        for &d in &lost {
-            assert!(plan.assignment.iter().all(|&a| a != d));
-            assert_eq!(plan.loads[d], 0);
-        }
-        assert_eq!(plan.loads.iter().sum::<u64>(), before);
     }
 
     #[test]
@@ -732,7 +681,7 @@ mod tests {
             1_150_000_000,
             PartitionStrategy::Auto,
         );
-        assert_eq!(a.assignment, b.assignment);
+        assert_eq!(a.placement.assignment, b.placement.assignment);
         assert_eq!(a.predicted_one_d_cycles, b.predicted_one_d_cycles);
         assert_eq!(a.predicted_two_d_cycles, b.predicted_two_d_cycles);
         assert_eq!(a.strategy, b.strategy);

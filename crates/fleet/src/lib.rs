@@ -21,11 +21,11 @@
 //!   ([`cluster`]): `"4x(2xC2050)"`-style node rosters and the
 //!   node-level partitioner choosing 1D-by-component vs 2D-by-edge-block
 //!   from a predicted communication-volume cost model;
-//! * [`LossPlan`] — deterministic device-loss injection (always keeps
-//!   at least one survivor), with [`reassign_lost`] migrating orphaned
-//!   jobs onto survivors via the online Graham step
-//!   (`trigon_sched::least_loaded_alive`), and [`reassign_lost_nodes`]
-//!   doing the same one level up for lost nodes.
+//! * [`LossPlan`] — deterministic device- or node-loss injection
+//!   (always keeps at least one survivor), with [`reassign_lost`]
+//!   migrating orphaned jobs onto survivors via the online Graham step
+//!   (`trigon_sched::least_loaded_alive`) — one [`FleetPlan`] shape
+//!   serves both levels, a [`ClusterPlan`] carries one.
 //!
 //! The crate is deliberately free of graph types: jobs are abstract
 //! `(weight, bytes)` pairs, so `trigon-core` can feed it ALS footprints
@@ -37,8 +37,7 @@ pub mod cluster;
 pub mod net;
 
 pub use cluster::{
-    plan_cluster, predict_cost, reassign_lost_nodes, ClusterJob, ClusterPlan, ClusterSpec,
-    PartitionStrategy,
+    plan_cluster, predict_cost, ClusterJob, ClusterPlan, ClusterSpec, PartitionStrategy,
 };
 pub use net::{Interconnect, LinkTier};
 
@@ -181,14 +180,15 @@ pub struct ShardJob {
     pub bytes: u64,
 }
 
-/// A computed device assignment for a job list.
+/// A computed assignment of a job list to targets: the devices of a
+/// fleet, or (inside a [`ClusterPlan`]) the nodes of a cluster.
 #[derive(Debug, Clone)]
 pub struct FleetPlan {
-    /// `assignment[j]` = device index of job `j`.
+    /// `assignment[j]` = target index of job `j`.
     pub assignment: Vec<usize>,
-    /// Summed job weight per device.
+    /// Summed job weight per target.
     pub loads: Vec<u64>,
-    /// Summed job bytes per device.
+    /// Summed job bytes per target.
     pub bytes: Vec<u64>,
 }
 
@@ -267,12 +267,12 @@ pub fn plan_shards(jobs: &[ShardJob], devices: &[DeviceSpec]) -> Result<FleetPla
     Ok(plan)
 }
 
-/// Migrates every job owned by a lost device onto the surviving devices
-/// with the online Graham step — each orphan (in job order) goes to the
-/// currently least-loaded survivor via
+/// Migrates every job owned by a lost target (device or node) onto the
+/// survivors with the online Graham step — each orphan (in job order)
+/// goes to the currently least-loaded survivor via
 /// [`trigon_sched::least_loaded_alive`], exactly the policy the
 /// single-device executor uses to drain stalled SMs. Returns the number
-/// of jobs moved.
+/// of jobs moved; an empty `lost` moves none.
 ///
 /// Capacity is not re-checked here: a loss-time reshard is an emergency
 /// migration, and the per-shard Eq. 1 layout check downstream still
@@ -280,8 +280,8 @@ pub fn plan_shards(jobs: &[ShardJob], devices: &[DeviceSpec]) -> Result<FleetPla
 ///
 /// # Panics
 ///
-/// Panics when `lost` covers the whole fleet (callers must keep at
-/// least one survivor, which [`LossPlan::targets`] guarantees).
+/// Panics when `lost` covers every target (callers must keep at least
+/// one survivor, which [`LossPlan::targets`] guarantees).
 pub fn reassign_lost(plan: &mut FleetPlan, jobs: &[ShardJob], lost: &[usize]) -> usize {
     let mut alive = vec![true; plan.loads.len()];
     for &d in lost {
@@ -291,7 +291,7 @@ pub fn reassign_lost(plan: &mut FleetPlan, jobs: &[ShardJob], lost: &[usize]) ->
     }
     assert!(
         alive.iter().any(|&a| a),
-        "device loss must leave at least one survivor"
+        "loss must leave at least one survivor"
     );
     let mut moved = 0;
     for j in 0..plan.assignment.len() {

@@ -1,12 +1,12 @@
 //! Emit hooks: record simulator accounting into a telemetry
 //! [`Collector`].
 //!
-//! The kernel, partition, and transfer models each know their own
-//! numbers; these helpers give them one shared vocabulary of counter and
-//! gauge names so every layer of a pipeline run lands in the same
-//! collector. Names are namespaced `gpu.*`, `partition.*`, `xfer.*`.
+//! The partition and transfer models and the executors built on them
+//! each know their own numbers; these helpers give them one shared
+//! vocabulary of counter and gauge names so every layer of a pipeline
+//! run lands in the same collector. Names are namespaced `gpu.*`,
+//! `partition.*`, `xfer.*`.
 
-use crate::kernel::KernelTiming;
 use crate::partition::PartitionTraffic;
 use crate::xfer::TransferModel;
 use trigon_telemetry::{AttrValue, Collector, Tracer, Track};
@@ -38,18 +38,6 @@ pub fn emit_traffic(c: &mut Collector, prefix: &str, traffic: &PartitionTraffic)
     for (p, &n) in traffic.counts().iter().enumerate() {
         c.add(&format!("partition.{prefix}.p{p}"), n);
     }
-}
-
-/// Records one kernel timing: makespan cycles, per-SM load spread, and
-/// the derived SM utilization (mean load / makespan, 1.0 = perfectly
-/// balanced).
-pub fn emit_kernel_timing(c: &mut Collector, t: &KernelTiming) {
-    if !c.enabled() {
-        return;
-    }
-    c.add("gpu.makespan_cycles", t.makespan_cycles);
-    c.gauge("gpu.sm_utilization", sm_utilization(&t.per_sm_cycles));
-    c.phase_seconds("kernel", t.total_s);
 }
 
 /// Records a host↔device transfer: bytes moved and modeled seconds

@@ -10,8 +10,6 @@
 //! * **partition queueing** in global memory, the "partition camping"
 //!   effect of §X ([`partition`], Eqs. 10–11);
 //! * **bank conflicts** in shared memory ([`shared`], Eq. 9);
-//! * **SM/block dispatch** and makespan-style kernel timing ([`kernel`],
-//!   §V–VI);
 //! * **host↔device transfer** over PCIe ([`xfer`]), which dominates small
 //!   inputs in Fig. 10.
 //!
@@ -31,21 +29,18 @@ pub mod coalesce;
 pub mod device;
 pub mod emit;
 pub mod faults;
-pub mod kernel;
 pub mod occupancy;
 pub mod partition;
 pub mod profile;
 pub mod shared;
-pub mod trace;
 pub mod viz;
 pub mod xfer;
 
 pub use coalesce::{warp_transactions, CoalesceSummary};
 pub use device::{ComputeCapability, DeviceSpec};
-pub use emit::{emit_kernel_timing, emit_traffic, emit_transfer, sm_utilization};
+pub use emit::{emit_traffic, emit_transfer, sm_utilization};
 pub use emit::{trace_transfer, trace_transfer_labeled};
 pub use faults::{FaultConfig, FaultEvent, FaultOutcome, FaultPlan, FaultSpec};
-pub use kernel::{BlockCost, KernelSim, KernelTiming};
 pub use occupancy::{occupancy, KernelResources, Occupancy, SmLimits};
 pub use partition::{camping_cycles, PartitionTraffic};
 pub use profile::{
@@ -53,6 +48,5 @@ pub use profile::{
     INSTRUCTIONS_PER_INTERSECT_OP, INSTRUCTIONS_PER_TEST,
 };
 pub use shared::{bank_conflict_degree, shared_access_cycles};
-pub use trace::{AccessTrace, ReplaySummary, WarpAccess};
 pub use viz::{render_partition_histogram, render_sm_timeline};
 pub use xfer::TransferModel;

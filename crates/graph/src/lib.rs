@@ -26,10 +26,7 @@
 //! * [`mm`] — MatrixMarket coordinate reader/writer;
 //! * [`approx`] — DOULION coin-flip approximate triangle counting (the
 //!   paper's reference \[16\], used as the approximate baseline);
-//! * [`cores`] — k-core decomposition and degeneracy ordering;
-//! * [`metrics`] — degree distributions, assortativity, diameter;
-//! * [`external`] — out-of-core triangle counting for disk-resident
-//!   graphs (the paper's §XII future work).
+//! * [`cores`] — k-core decomposition and degeneracy ordering.
 
 #![deny(missing_docs)]
 
@@ -37,11 +34,9 @@ pub mod approx;
 pub mod bfs;
 pub mod components;
 pub mod cores;
-pub mod external;
 pub mod gen;
 pub mod graph;
 pub mod io;
-pub mod metrics;
 pub mod mm;
 pub mod rng;
 pub mod storage;

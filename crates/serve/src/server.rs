@@ -225,16 +225,28 @@ impl Server {
         let method = Method::parse(&item.method)?;
         let workload = Workload::parse(&item.workload, item.k)?;
         lock(&self.admit_stats).queries += 1;
-        let verdict = self.policy.admit(g.n(), method.uses_device());
-        {
-            let mut st = lock(&self.admit_stats);
-            match &verdict {
-                Ok((Verdict::Admit, _)) => st.admitted += 1,
-                Ok((Verdict::Route, _)) => st.routed += 1,
-                Err(_) => st.rejected += 1,
-            }
+        let (verdict, target) = self
+            .policy
+            .admit(g.n(), method.uses_device())
+            .inspect_err(|_| lock(&self.admit_stats).rejected += 1)?;
+        // The run for the verdict's placement meets the capability table
+        // before the verdict counts or either cache is touched: a query
+        // the table rejects is not admitted and builds no artifact.
+        let run = Run::new(g)
+            .method(method)
+            .workload(workload)
+            .telemetry(Level::Standard);
+        let run = match verdict {
+            Verdict::Admit => run.device(self.policy.device.clone()),
+            Verdict::Route => run.fleet(self.policy.fleet.clone().ok_or_else(|| {
+                Error::bad_config("admission routed a query but no fleet is configured")
+            })?),
+        };
+        run.check()?;
+        match verdict {
+            Verdict::Admit => lock(&self.admit_stats).admitted += 1,
+            Verdict::Route => lock(&self.admit_stats).routed += 1,
         }
-        let (verdict, target) = verdict?;
         let k = match workload {
             Workload::KCliques(k) | Workload::KTruss(k) => k,
             _ => 3,
@@ -244,21 +256,7 @@ impl Server {
             Some(json) => (json, "hit", "hit"),
             None => {
                 let (als, warm) = self.registry.artifacts(graph_name, g);
-                let mut run = Run::new(g)
-                    .method(method)
-                    .workload(workload)
-                    .telemetry(Level::Standard)
-                    .prebuilt_als(als);
-                match verdict {
-                    Verdict::Admit => run = run.device(self.policy.device.clone()),
-                    Verdict::Route => {
-                        let fleet = self.policy.fleet.clone().ok_or_else(|| {
-                            Error::bad_config("admission routed a query but no fleet is configured")
-                        })?;
-                        run = run.fleet(fleet);
-                    }
-                }
-                let json = run.execute()?.to_json();
+                let json = run.prebuilt_als(als).execute()?.to_json();
                 self.registry.put_result(&key, json.clone());
                 (json, "miss", if warm { "hit" } else { "miss" })
             }
@@ -534,6 +532,31 @@ mod tests {
         let stats = s.registry().stats();
         assert_eq!(stats.artifact_hits, 4);
         assert_eq!(stats.artifact_misses, 1);
+    }
+
+    #[test]
+    fn table_rejected_query_is_not_admitted_and_builds_nothing() {
+        let s = server();
+        let (resp, _) = s.handle(&msg(
+            r#"{"op":"load","name":"g","gen":"gnp","n":60,"seed":3}"#,
+        ));
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
+        let (resp, _) = s.handle(&msg(
+            r#"{"op":"query","graph":"g","workload":"kcount","k":3,"method":"cpu-fast"}"#,
+        ));
+        assert_eq!(resp.get("code"), Some(&Json::UInt(2)), "{resp:?}");
+        let g = s.registry().get("g").unwrap();
+        let expected = Run::new(&g)
+            .method(Method::CpuFast)
+            .workload(Workload::KCliques(3))
+            .check()
+            .unwrap_err();
+        assert_eq!(resp.get("error"), Some(&Json::from(expected.to_string())));
+        let (resp, _) = s.handle(&msg(r#"{"op":"report"}"#));
+        let stats = resp.get("stats").unwrap();
+        for key in ["admitted", "result_misses", "artifact_misses"] {
+            assert_eq!(stats.get(key), Some(&Json::from(0u64)), "{key}");
+        }
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! and between a one-device fleet and the plain single-GPU executor.
 //! Across *different* executors the cost models legitimately differ,
 //! but the per-ALS `tests` attribution — the workload itself — must
-//! agree exactly on CPU, GPU, and hybrid.
+//! agree exactly on CPU, GPU, and hybrid, and on a fleet and a cluster.
 
 use proptest::prelude::*;
 use trigon::gpu_sim::{DeviceSpec, FaultConfig, FaultPlan, FaultSpec};
 use trigon::graph::{gen, Graph};
-use trigon::{FleetSpec, Level, Method, Run};
+use trigon::{ClusterSpec, FleetSpec, Level, Method, Run};
 
 fn arb_graph(max_n: u32) -> impl Strategy<Value = Graph> {
     (3..max_n).prop_flat_map(|n| {
@@ -52,12 +52,8 @@ fn profile_json(
 }
 
 /// The per-ALS `tests` attribution of a run.
-fn per_als_tests(g: &Graph, m: Method) -> Vec<u128> {
-    let rep = Run::new(g)
-        .method(m)
-        .telemetry(Level::Off)
-        .execute()
-        .unwrap();
+fn per_als_tests(run: Run<'_>) -> Vec<u128> {
+    let rep = run.telemetry(Level::Off).execute().unwrap();
     rep.profile
         .expect("profile section")
         .data
@@ -110,12 +106,28 @@ proptest! {
 
     /// Every executor attributes the identical number of combination
     /// tests to the identical ALS — the workload is a property of the
-    /// graph, not of the executor or its cost model.
+    /// graph, not of the executor, its cost model, or the placement
+    /// (a fleet's and a cluster's aggregate remap each share's ALS back
+    /// to global indices).
     #[test]
     fn per_als_test_attribution_is_executor_independent(g in arb_graph(28)) {
-        let cpu = per_als_tests(&g, Method::CpuFast);
-        for m in [Method::GpuNaive, Method::GpuOptimized, Method::Hybrid] {
-            prop_assert_eq!(&per_als_tests(&g, m), &cpu, "tests attribution drifted on {:?}", m);
+        let cpu = per_als_tests(Run::new(&g).method(Method::CpuFast));
+        let gpu_opt = || Run::new(&g).method(Method::GpuOptimized);
+        let runs = [
+            ("gpu-naive", Run::new(&g).method(Method::GpuNaive)),
+            ("gpu-opt", gpu_opt()),
+            ("hybrid", Run::new(&g).method(Method::Hybrid)),
+            (
+                "gpu-opt on 2xC2050,1xC1060",
+                gpu_opt().fleet(FleetSpec::parse("2xC2050,1xC1060").unwrap()),
+            ),
+            (
+                "gpu-opt on 2x(2xC2050),C1060",
+                gpu_opt().cluster(ClusterSpec::parse("2x(2xC2050),C1060").unwrap()),
+            ),
+        ];
+        for (name, run) in runs {
+            prop_assert_eq!(&per_als_tests(run), &cpu, "tests attribution drifted on {}", name);
         }
     }
 }
