@@ -145,10 +145,23 @@ stage_cluster() {
 
 # Workload smoke tests: every ChunkKernel workload runs through the CLI,
 # kcount at k = 3 reproduces the triangle count, clustering is unchanged
-# by executor choice and by injected faults, and the repro sweep writes
-# bench_out/BENCH_workloads.json.
+# by executor choice and by injected faults, the thread width changes no
+# line of a host fold's or the hybrid count's output but the wall clock,
+# and the repro sweep writes bench_out/BENCH_workloads.json.
 stage_workloads() {
-    local tri k3 clus_cpu clus_gpu clus_faulted truss enum_line
+    local tri k3 clus_cpu clus_gpu clus_faulted truss enum_line args width
+    for args in "--method cpu-fast --workload ktruss --k 4" "--method cpu-intersect" \
+        "--method hybrid"; do
+        for width in 1 2; do
+            # shellcheck disable=SC2086 # $args is a list of flags
+            cargo run --release --quiet -- run --gen ring --n 1000 $args \
+                --threads "$width" | grep -v '^wall' > "$scratch/width$width"
+        done
+        if ! diff "$scratch/width1" "$scratch/width2"; then
+            echo "thread width changed 'run --gen ring --n 1000 $args'" >&2
+            return 1
+        fi
+    done
     tri="$(cargo run --release --quiet -- run --gen gnp --n 400 \
         --method gpu-opt | awk '/^triangles/ {print $2}')"
     k3="$(cargo run --release --quiet -- run --gen gnp --n 400 \

@@ -538,19 +538,23 @@ fn perf(out: &Output, rest: &[String]) {
             }
         }
     }
-    if let Some(tele) = result
-        .report
-        .get("overhead")
-        .and_then(|o| o.get("telemetry"))
-    {
+    let overhead = result.report.get("overhead");
+    for key in ["telemetry", "telemetry_gpu_sampled"] {
+        let Some(tele) = overhead.and_then(|o| o.get(key)) else {
+            continue;
+        };
         let off = json_u64(tele.get("off_ns"));
         let std_ns = json_u64(tele.get("standard_ns"));
         let pct = match tele.get("overhead_pct") {
             Some(trigon_core::Json::Float(v)) => format!("{v:.1}"),
             _ => "-".to_string(),
         };
+        let workload = match tele.get("workload") {
+            Some(trigon_core::Json::Str(w)) => w.as_str(),
+            _ => "-",
+        };
         println!(
-            "  telemetry overhead: Off {:.2} ms, Standard {:.2} ms ({pct} %)",
+            "  telemetry overhead ({workload}): Off {:.2} ms, Standard {:.2} ms ({pct} %)",
             off as f64 / 1e6,
             std_ns as f64 / 1e6
         );

@@ -16,7 +16,8 @@
 //!   `cpu-intersect` and `gpu-opt` vs `gpu-intersect`, asserted
 //!   strictly faster at fig10 n ≥ 1200;
 //! * telemetry overhead — the same `Run` at `Level::Off` vs
-//!   `Level::Standard`;
+//!   `Level::Standard`, for fig10 cpu-fast and for fig11 gpu-sampled
+//!   (whose Standard run adds the count-free Eq. 6 plan);
 //! * pool dispatch cost — nanoseconds per `par_iter` round-trip on a
 //!   tiny input, which is pure submit/wake/join overhead;
 //! * optional merge of the criterion shim's JSONL emissions (see
@@ -142,11 +143,11 @@ pub fn sweep_methods(combination_scale: bool) -> Vec<Method> {
 /// Times every strategy on one graph: the serial reference, the thread
 /// sweep, and one `Run`-builder pass per method in `methods`.
 ///
-/// The ALS decomposition is built once and passed to every
-/// artifact-reusing method via `prebuilt_als`, so the method sweep
-/// times the counting strategies rather than redundantly rebuilding
-/// the same decomposition per method (the hybrid path builds its own
-/// and is left alone).
+/// The ALS decomposition is built once and passed to every method via
+/// `prebuilt_als`, so the method sweep times the counting strategies
+/// rather than redundantly rebuilding the same decomposition per
+/// method. The methods run on the global pool; each sample records its
+/// width.
 fn measure_graph(g: &Graph, methods: &[Method], reps: u32, sweep: &[usize]) -> Vec<Sample> {
     let mut out = Vec::new();
     let als = std::sync::Arc::new(trigon_core::als::build_als(g));
@@ -175,18 +176,18 @@ fn measure_graph(g: &Graph, methods: &[Method], reps: u32, sweep: &[usize]) -> V
     }
     for &m in methods {
         let (ns, count) = time_best(1, || {
-            let mut a = Run::new(g).method(m).telemetry(Level::Off);
-            if m != Method::Hybrid {
-                a = a.prebuilt_als(std::sync::Arc::clone(&als));
-            }
-            a.execute()
+            Run::new(g)
+                .method(m)
+                .telemetry(Level::Off)
+                .prebuilt_als(std::sync::Arc::clone(&als))
+                .execute()
                 .unwrap_or_else(|e| panic!("{} run: {e}", m.label()))
                 .count
         });
         assert_eq!(count, expect, "{} disagrees with als_fast", m.label());
         out.push(Sample {
             strategy: m.label(),
-            threads: 1,
+            threads: rayon::current_num_threads(),
             wall_ns: ns,
             triangles: count,
         });
@@ -252,13 +253,13 @@ fn graph_json(n: u32, samples: &[Sample]) -> Json {
     row
 }
 
-/// Telemetry overhead: identical `CpuFast` analyses at `Level::Off` vs
-/// `Level::Standard`.
-fn telemetry_overhead(g: &Graph) -> Json {
+/// Telemetry overhead: identical `method` analyses of `g` at
+/// `Level::Off` vs `Level::Standard`, labelled `workload`.
+fn telemetry_overhead(g: &Graph, method: Method, workload: &str) -> Json {
     let run_at = |level: Level| {
         time_best(3, || {
             Run::new(g)
-                .method(Method::CpuFast)
+                .method(method)
                 .telemetry(level)
                 .execute()
                 .expect("analysis run")
@@ -269,7 +270,7 @@ fn telemetry_overhead(g: &Graph) -> Json {
     let off_ns = run_at(Level::Off);
     let std_ns = run_at(Level::Standard);
     let mut o = Json::object();
-    o.set("workload", Json::Str("fig10 cpu-fast".to_string()));
+    o.set("workload", Json::Str(workload.to_string()));
     o.set("off_ns", Json::UInt(off_ns));
     o.set("standard_ns", Json::UInt(std_ns));
     if off_ns > 0 {
@@ -433,7 +434,16 @@ pub fn run_perf(opts: &PerfOptions) -> PerfOutcome {
     report.set("fig11", Json::Array(fig11_rows));
 
     let mut overhead = Json::object();
-    overhead.set("telemetry", telemetry_overhead(&fig10_graph(600)));
+    overhead.set(
+        "telemetry",
+        telemetry_overhead(&fig10_graph(600), Method::CpuFast, "fig10 cpu-fast"),
+    );
+    // gpu-sampled at Standard also runs the Eq. 6 plan, which cpu-fast
+    // does not.
+    overhead.set(
+        "telemetry_gpu_sampled",
+        telemetry_overhead(&fig11_graph(5_000), Method::GpuSampled, "fig11 gpu-sampled"),
+    );
     overhead.set("pool_dispatch", dispatch_cost(&sweep));
     report.set("overhead", overhead);
 
@@ -565,6 +575,13 @@ mod tests {
         ] {
             assert!(r.get(key).is_some(), "missing {key}");
         }
+        for key in ["telemetry", "telemetry_gpu_sampled"] {
+            let overhead = r.get("overhead").and_then(|o| o.get(key));
+            assert!(
+                overhead.and_then(|t| t.get("standard_ns")).is_some(),
+                "missing overhead.{key}"
+            );
+        }
         let Some(Json::Array(rows)) = r.get("fig10") else {
             panic!("fig10 not an array")
         };
@@ -581,15 +598,15 @@ mod tests {
                 .count();
             assert!(widths >= 2, "wanted >= 2 parallel widths, got {widths}");
             // The derived method sweep puts every Method::ALL entry —
-            // including the intersection backends — in each fig10 row.
+            // including the intersection backends — in each fig10 row,
+            // labelled with the width of the pool it ran on.
+            let width = Json::UInt(rayon::current_num_threads() as u64);
             for m in Method::ALL {
-                assert!(
-                    strats
-                        .iter()
-                        .any(|s| s.get("strategy") == Some(&Json::Str(m.label().into()))),
-                    "method {} missing from the fig10 sweep",
-                    m.label()
-                );
+                let sample = strats
+                    .iter()
+                    .find(|s| s.get("strategy") == Some(&Json::Str(m.label().into())))
+                    .unwrap_or_else(|| panic!("method {} missing from the fig10 sweep", m.label()));
+                assert_eq!(sample.get("threads"), Some(&width), "{}", m.label());
             }
             assert!(
                 row.get("combination_vs_intersection").is_some(),

@@ -59,7 +59,7 @@ use crate::cluster;
 use crate::error::Error;
 use crate::gpu_exec::{self, GpuConfig, GpuRunResult};
 use crate::gpu_kcount::run_k_cliques_workload_traced;
-use crate::hybrid::{run_hybrid_workload_traced, HybridConfig};
+use crate::hybrid::{run_hybrid_workload_traced, HybridConfig, HybridPlan, HybridResult};
 use crate::multi;
 use crate::pipeline;
 use crate::report::{
@@ -364,8 +364,8 @@ impl<'g> Run<'g> {
     }
 
     /// Sets the telemetry level. [`Level::Off`] skips all collection —
-    /// including the extra Eq. 6 prediction pass for GPU runs — leaving
-    /// the corresponding report fields empty.
+    /// including the count-free Eq. 6 plan of single-device GPU runs —
+    /// leaving the corresponding report fields empty.
     #[must_use]
     pub fn telemetry(mut self, level: Level) -> Self {
         self.level = level;
@@ -799,19 +799,19 @@ impl<'g> Run<'g> {
                     max_roots: self.max_roots,
                     faults: self.faults,
                 };
-                let (r, partial) =
+                let (HybridResult { triangles, plan }, partial) =
                     run_hybrid_workload_traced(g, als, &cfg, kernel, collector, tracer);
-                let mut report = self.base_report(r.triangles, r.tests, r.total_s);
-                report.faults = faults_section(cfg.faults.as_ref(), r.faults.as_ref());
+                let mut report = self.base_report(triangles, plan.tests, plan.total_s);
+                report.faults = faults_section(cfg.faults.as_ref(), plan.faults.as_ref());
                 report.hybrid = Some(HybridSection {
-                    shared_als: r.shared_als,
-                    global_als: r.global_als,
-                    chunks: r.split.chunks.len(),
-                    oversize_chunks: r.split.oversize_count,
-                    bank_conflict_degree: f64::from(r.bank_conflict_degree),
+                    shared_als: plan.shared_als,
+                    global_als: plan.global_als,
+                    chunks: plan.split.chunks.len(),
+                    oversize_chunks: plan.split.oversize_count,
+                    bank_conflict_degree: f64::from(plan.bank_conflict_degree),
                 });
-                report.eq6 = Some(Eq6Section::new(r.eq6_s, r.kernel_s));
-                report.profile = Some(ProfileSection::new(r.profile));
+                report.eq6 = Some(Eq6Section::new(plan.eq6_s, plan.kernel_s));
+                report.profile = Some(ProfileSection::new(plan.profile));
                 Ok((report, partial))
             }
         }
@@ -872,8 +872,9 @@ impl<'g> Run<'g> {
 
     /// Eq. 6 prediction for a pure-GPU run: the pipeline time the paper's
     /// model assigns this graph's Algorithm 1 split on this device,
-    /// against the simulated kernel seconds. Skipped (None) when
-    /// telemetry is off — it costs an extra analytic pass.
+    /// against the simulated kernel seconds. It reads a count-free
+    /// [`HybridPlan`] (split, placement, pricing; no triangle is
+    /// counted). Skipped (None) when telemetry is off.
     fn eq6_prediction(
         &self,
         als: &[Als],
@@ -889,15 +890,8 @@ impl<'g> Run<'g> {
             max_roots: self.max_roots,
             faults: None,
         };
-        let (est, _) = run_hybrid_workload_traced(
-            self.graph,
-            als,
-            &hybrid_cfg,
-            &CountKernel,
-            &mut Collector::disabled(),
-            &Tracer::disabled(),
-        );
-        Some(Eq6Section::new(est.eq6_s, simulated_kernel_s))
+        let plan = HybridPlan::new(self.graph, als, &hybrid_cfg);
+        Some(Eq6Section::new(plan.eq6_s, simulated_kernel_s))
     }
 
     fn base_report(&self, count: u64, tests: u128, modeled_s: f64) -> RunReport {

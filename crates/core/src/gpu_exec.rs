@@ -566,7 +566,11 @@ fn partial_for_origin<K: ChunkKernel>(
             }
             p
         }
-        BlockOrigin::AlsTotal(ai) => kernel.compute_als(g, &als[ai]),
+        BlockOrigin::AlsTotal(ai) => {
+            let mut p = kernel.identity();
+            kernel.add_als(&mut p, g, &als[ai]);
+            p
+        }
         BlockOrigin::Zero => kernel.identity(),
     }
 }
@@ -1223,7 +1227,9 @@ fn simulate_sampled<K: ChunkKernel>(
                 .clamp(1, max_jobs_per_als);
             // The whole ALS's partial rides on pseudo-block 0; the rest
             // carry the identity (their origins are Zero accordingly).
-            let mut als_partial = Some(kernel.compute_als(g, a));
+            let mut als_partial = kernel.identity();
+            kernel.add_als(&mut als_partial, g, a);
+            let mut als_partial = Some(als_partial);
             let mut out = Vec::with_capacity(jobs);
             for j in 0..jobs {
                 let share = |x: u128| -> u128 {
@@ -1278,7 +1284,8 @@ fn simulate_sampled<K: ChunkKernel>(
 /// kernel per ALS on the host, then price its *exact* operation counts
 /// as a device execution — the pseudo-block machinery of
 /// [`simulate_sampled`] with the combination sampling replaced by
-/// [`crate::intersect::als_stats`].
+/// [`ChunkKernel::add_als_intersect`], whose one pass per ALS yields
+/// both the partial and the op counts.
 ///
 /// Pricing model (per ALS, split across pseudo-blocks):
 /// * compute — one warp step per `warp_size` intersection ops;
@@ -1305,7 +1312,10 @@ fn simulate_intersect<K: ChunkKernel>(
         .par_iter()
         .enumerate()
         .map(|(ai, a)| {
-            let stats = crate::intersect::als_stats(g, a);
+            // One intersection pass yields both the ALS's partial and the
+            // op counts it is priced from.
+            let mut als_partial = kernel.identity();
+            let stats = kernel.add_als_intersect(&mut als_partial, g, a);
             let total_ops = u128::from(stats.ops());
             if total_ops == 0 {
                 // No intersection work ⇒ no triangles (every counted
@@ -1326,7 +1336,7 @@ fn simulate_intersect<K: ChunkKernel>(
             // spreads evenly over the partitions — the camping-free
             // profile that is the point of this kernel.
             let parts = spec.partitions.max(1) as u64;
-            let mut als_partial = Some(kernel.compute_als(g, a));
+            let mut als_partial = Some(als_partial);
             let mut out = Vec::with_capacity(jobs);
             for j in 0..jobs {
                 let share = |x: u128| -> u128 {

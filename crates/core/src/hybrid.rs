@@ -13,9 +13,9 @@
 //! what "an intelligent scheduling of the computations" (§V) buys.
 
 use crate::als::{build_als, Als};
-use crate::split::{split_graph_collected, SplitConfig, SplitResult};
+use crate::split::{split_graph, split_graph_collected, SplitConfig, SplitResult};
 use crate::timemodel::{eq6_total_time, CostModel};
-use crate::workload::{ChunkKernel, CountKernel};
+use crate::workload::{fold_als, ChunkKernel, CountKernel};
 use trigon_gpu_sim::{
     bank_conflict_degree, warp_transactions, CounterSet, DeviceProfile, DeviceSpec, FaultConfig,
     FaultEvent, FaultOutcome, ProfileData, TransferModel,
@@ -63,11 +63,14 @@ impl HybridConfig {
     }
 }
 
-/// Result of a hybrid shared/global run.
+/// The count-free half of a hybrid run: the Algorithm 1 split, each
+/// ALS's placement and per-tier pricing, the LPT schedule, the profile,
+/// Eq. 6, and the PCIe transfer (xfer faults included). None of it
+/// reads a triangle — only the split, the placement and the per-ALS
+/// test counts — so the Eq. 6 prediction of a simulated-GPU run plans
+/// ([`HybridPlan::new`]) without counting.
 #[derive(Debug, Clone)]
-pub struct HybridResult {
-    /// Exact triangle count.
-    pub triangles: u64,
+pub struct HybridPlan {
     /// Combination tests accounted.
     pub tests: u128,
     /// ALS served from shared memory.
@@ -95,6 +98,21 @@ pub struct HybridResult {
     /// serialized accesses of the access pattern; the global tier prices
     /// the sampled coalescing estimate.
     pub profile: ProfileData,
+    /// ALS layout bytes shipped over PCIe.
+    layout_bytes: u64,
+    /// LPT makespan of the job schedule, in device cycles.
+    makespan_cycles: u64,
+    /// SM utilization of that schedule.
+    sm_utilization: f64,
+}
+
+/// Result of a hybrid shared/global run: its plan and its count.
+#[derive(Debug, Clone)]
+pub struct HybridResult {
+    /// Exact triangle count.
+    pub triangles: u64,
+    /// Placement, pricing, schedule, Eq. 6 and transfer of the run.
+    pub plan: HybridPlan,
 }
 
 /// Classifies every ALS of `g` against a split result.
@@ -150,9 +168,10 @@ pub fn run_hybrid_collected(
 /// transfer span, one simulated-time span per LPT-scheduled job on its
 /// SM lane, and `chunk.nodes` / `als.tests` histograms of the §V split
 /// and ALS workloads. The timing model is workload-independent (it
-/// prices the §V shared/global tiers of the paper's triangle kernel);
-/// the workload partial is accumulated host-side per ALS in canonical
-/// order and returned unfinalized.
+/// prices the §V shared/global tiers of the paper's triangle kernel —
+/// the [`HybridPlan`]); the workload partial is folded host-side, each
+/// ALS once, on all lanes of the current pool, in canonical order, and
+/// returned unfinalized.
 #[must_use]
 pub fn run_hybrid_workload_traced<K: ChunkKernel>(
     g: &Graph,
@@ -162,15 +181,9 @@ pub fn run_hybrid_workload_traced<K: ChunkKernel>(
     collector: &mut Collector,
     tracer: &Tracer,
 ) -> (HybridResult, K::Partial) {
-    let spec = &cfg.device;
-    tracer.set_device_clock_hz(spec.clock_hz as f64);
-    let split_cfg = SplitConfig {
-        max_roots: cfg.max_roots,
-        ..SplitConfig::for_device(spec)
-    };
     let split = {
         let mut span = tracer.span("split", "phase");
-        let split = split_graph_collected(g, &split_cfg, collector);
+        let split = split_graph_collected(g, &cfg.split_config(), collector);
         span.attr("chunks", split.chunks.len());
         span.attr("oversize", split.oversize_count);
         split
@@ -180,215 +193,244 @@ pub fn run_hybrid_workload_traced<K: ChunkKernel>(
             tracer.record("chunk.nodes", c.nodes.len() as f64);
         }
     }
-    let count_guard = collector.phase("count");
-    let count_span = tracer.span("count", "phase");
-    let placement = classify_als(als, &split);
+    let (plan, partial) = {
+        let _phase = collector.phase("count");
+        let _span = tracer.span("count", "phase");
+        let (partial, _) = fold_als(kernel, g, als, |p, a| kernel.add_als(p, g, a));
+        (HybridPlan::price(g, als, cfg, split, tracer), partial)
+    };
+    plan.emit(&cfg.device, collector);
+    let triangles = kernel.triangles_in(&partial);
+    (HybridResult { triangles, plan }, partial)
+}
 
-    let warp = spec.warp_size as u128;
-    // Sub-job grain: the same 64k-test blocks the exhaustive simulator
-    // uses, so one big ALS parallelizes across SMs (each block stages its
-    // own shared-memory copy of the chunk, as CUDA blocks do).
-    let block_tests: u128 = 128 * 512;
-    let mut partial = kernel.identity();
-    let mut tests = 0u128;
-    let mut jobs_cycles: Vec<u64> = Vec::new();
-    // Per-job (ALS index, counter bundle) — attributed to SMs after the
-    // LPT schedule lands; the job's tests split evenly across its blocks
-    // (remainder to the leading blocks) so totals stay exact.
-    let mut job_meta: Vec<(usize, CounterSet)> = Vec::new();
-    // Eq. 9 conflict degree of the shared-tier access pattern
-    // (consecutive words): the extra serialized accesses beyond the
-    // conflict-free cost, per load phase.
-    let bank_addrs: Vec<u64> = (0..spec.warp_size as u64).map(|l| l * 4).collect();
-    let conflict_degree = bank_conflict_degree(&bank_addrs, spec.shared_banks);
-    let conflict_extra = u64::from(conflict_degree.saturating_sub(1));
-    let mut tau_shared_total = 0.0f64;
-    let mut tau_global_total = 0.0f64;
-    let mut shared_n = 0usize;
-    for (ai, (a, place)) in als.iter().zip(&placement).enumerate() {
-        partial = kernel.merge(partial, kernel.compute_als(g, a));
-        let t = a.test_count(3);
-        tests += t;
-        tracer.record("als.tests", t as f64);
-        if t == 0 {
-            continue;
+impl HybridConfig {
+    /// The Algorithm 1 splitter for this device and root budget.
+    fn split_config(&self) -> SplitConfig {
+        SplitConfig {
+            max_roots: self.max_roots,
+            ..SplitConfig::for_device(&self.device)
         }
-        let blocks = t.div_ceil(block_tests).max(1);
-        let steps_per_block = t.div_ceil(warp).div_ceil(blocks) as u64;
-        let base_tests = t / blocks;
-        let rem = t % blocks;
-        let job_tests = |b: u64| base_tests + u128::from(u128::from(b) < rem);
-        match place {
-            Placement::Shared { .. } => {
-                shared_n += 1;
-                // Each block stages the chunk: coalesced copy of the
-                // local S-UTM bits into its SM's shared memory.
-                let copy_tx = (a.size_bits() / 8).div_ceil(128) as u64;
-                let copy = copy_tx * spec.transaction_service_cycles;
-                // Shared-tier steps: combination generation still costs,
-                // memory at bank latency. The access pattern (broadcast
-                // rows + consecutive columns) is conflict-light; charge
-                // the conflict-free Eq. 9 cost per load phase.
-                let step_cost =
-                    cfg.cost.gpu_step_base_shared_cycles + 3 * spec.shared_latency_cycles;
-                let per_block = copy + steps_per_block * step_cost;
-                tau_shared_total += spec.cycles_to_seconds(per_block * blocks as u64);
-                for b in 0..blocks as u64 {
-                    jobs_cycles.push(per_block);
-                    let jt = job_tests(b);
-                    job_meta.push((
-                        ai,
-                        CounterSet {
-                            tests: jt,
-                            instructions: CounterSet::instructions_for_tests(jt),
-                            transactions: copy_tx,
-                            min_transactions: copy_tx,
-                            bank_conflicts: conflict_extra * steps_per_block * 3,
-                            compute_cycles: steps_per_block * cfg.cost.gpu_step_base_shared_cycles,
-                            mem_cycles: copy + steps_per_block * 3 * spec.shared_latency_cycles,
-                            blocks: 1,
-                        },
-                    ));
+    }
+}
+
+impl HybridPlan {
+    /// Plans a hybrid run over `als` (the graph's ALS decomposition)
+    /// without counting and without telemetry: the split, placement,
+    /// pricing, schedule, Eq. 6 and transfer of
+    /// [`run_hybrid_workload_traced`], bit for bit.
+    #[must_use]
+    pub fn new(g: &Graph, als: &[Als], cfg: &HybridConfig) -> Self {
+        let split = split_graph(g, &cfg.split_config());
+        Self::price(g, als, cfg, split, &Tracer::disabled())
+    }
+
+    /// Places and prices every ALS of `als` against `split`, schedules
+    /// the jobs by LPT and plays the transfer, recording the `als.tests`
+    /// histogram, the PCIe transfer and the per-job SM spans into
+    /// `tracer`.
+    fn price(
+        g: &Graph,
+        als: &[Als],
+        cfg: &HybridConfig,
+        split: SplitResult,
+        tracer: &Tracer,
+    ) -> Self {
+        let spec = &cfg.device;
+        tracer.set_device_clock_hz(spec.clock_hz as f64);
+        let placement = classify_als(als, &split);
+        let warp = spec.warp_size as u128;
+        // Sub-job grain: the same 64k-test blocks the exhaustive simulator
+        // uses, so one big ALS parallelizes across SMs (each block stages its
+        // own shared-memory copy of the chunk, as CUDA blocks do).
+        let block_tests: u128 = 128 * 512;
+        let mut tests = 0u128;
+        let mut jobs_cycles: Vec<u64> = Vec::new();
+        // Per-job (ALS index, counter bundle) — attributed to SMs after the
+        // LPT schedule lands; the job's tests split evenly across its blocks
+        // (remainder to the leading blocks) so totals stay exact.
+        let mut job_meta: Vec<(usize, CounterSet)> = Vec::new();
+        // Eq. 9 conflict degree of the shared-tier access pattern
+        // (consecutive words): the extra serialized accesses beyond the
+        // conflict-free cost, per load phase.
+        let bank_addrs: Vec<u64> = (0..spec.warp_size as u64).map(|l| l * 4).collect();
+        let conflict_degree = bank_conflict_degree(&bank_addrs, spec.shared_banks);
+        let conflict_extra = u64::from(conflict_degree.saturating_sub(1));
+        let mut tau_shared_total = 0.0f64;
+        let mut tau_global_total = 0.0f64;
+        let mut shared_n = 0usize;
+        for (ai, (a, place)) in als.iter().zip(&placement).enumerate() {
+            let t = a.test_count(3);
+            tests += t;
+            tracer.record("als.tests", t as f64);
+            if t == 0 {
+                continue;
+            }
+            let blocks = t.div_ceil(block_tests).max(1);
+            let steps_per_block = t.div_ceil(warp).div_ceil(blocks) as u64;
+            let base_tests = t / blocks;
+            let rem = t % blocks;
+            let job_tests = |b: u64| base_tests + u128::from(u128::from(b) < rem);
+            match place {
+                Placement::Shared { .. } => {
+                    shared_n += 1;
+                    // Each block stages the chunk: coalesced copy of the
+                    // local S-UTM bits into its SM's shared memory.
+                    let copy_tx = (a.size_bits() / 8).div_ceil(128) as u64;
+                    let copy = copy_tx * spec.transaction_service_cycles;
+                    // Shared-tier steps: combination generation still costs,
+                    // memory at bank latency. The access pattern (broadcast
+                    // rows + consecutive columns) is conflict-light; charge
+                    // the conflict-free Eq. 9 cost per load phase.
+                    let step_cost =
+                        cfg.cost.gpu_step_base_shared_cycles + 3 * spec.shared_latency_cycles;
+                    let per_block = copy + steps_per_block * step_cost;
+                    tau_shared_total += spec.cycles_to_seconds(per_block * blocks as u64);
+                    for b in 0..blocks as u64 {
+                        jobs_cycles.push(per_block);
+                        let jt = job_tests(b);
+                        job_meta.push((
+                            ai,
+                            CounterSet {
+                                tests: jt,
+                                instructions: CounterSet::instructions_for_tests(jt),
+                                transactions: copy_tx,
+                                min_transactions: copy_tx,
+                                bank_conflicts: conflict_extra * steps_per_block * 3,
+                                compute_cycles: steps_per_block
+                                    * cfg.cost.gpu_step_base_shared_cycles,
+                                mem_cycles: copy + steps_per_block * 3 * spec.shared_latency_cycles,
+                                blocks: 1,
+                            },
+                        ));
+                    }
+                }
+                Placement::Global => {
+                    // Global-tier steps: base cost + derated memory service
+                    // for the transactions a 3-phase warp step issues, priced
+                    // with the real coalescing engine on a sample step.
+                    let est_tx_per_step = estimate_tx_per_step(a, spec);
+                    let mem_step_cycles = (est_tx_per_step
+                        * spec.transaction_service_cycles as f64
+                        * cfg.cost.gpu_mem_derate)
+                        .round() as u64;
+                    let step_cost = cfg.cost.gpu_step_base_cycles + mem_step_cycles;
+                    let per_block = steps_per_block * step_cost;
+                    tau_global_total += spec.cycles_to_seconds(per_block * blocks as u64);
+                    let tx_per_block = (est_tx_per_step * steps_per_block as f64).round() as u64;
+                    for b in 0..blocks as u64 {
+                        jobs_cycles.push(per_block);
+                        let jt = job_tests(b);
+                        job_meta.push((
+                            ai,
+                            CounterSet {
+                                tests: jt,
+                                instructions: CounterSet::instructions_for_tests(jt),
+                                transactions: tx_per_block,
+                                min_transactions: 3 * steps_per_block,
+                                bank_conflicts: 0,
+                                compute_cycles: steps_per_block * cfg.cost.gpu_step_base_cycles,
+                                mem_cycles: steps_per_block * mem_step_cycles,
+                                blocks: 1,
+                            },
+                        ));
+                    }
                 }
             }
-            Placement::Global => {
-                // Global-tier steps: base cost + derated memory service
-                // for the transactions a 3-phase warp step issues, priced
-                // with the real coalescing engine on a sample step.
-                let est_tx_per_step = estimate_tx_per_step(a, spec);
-                let mem_step_cycles = (est_tx_per_step
-                    * spec.transaction_service_cycles as f64
-                    * cfg.cost.gpu_mem_derate)
-                    .round() as u64;
-                let step_cost = cfg.cost.gpu_step_base_cycles + mem_step_cycles;
-                let per_block = steps_per_block * step_cost;
-                tau_global_total += spec.cycles_to_seconds(per_block * blocks as u64);
-                let tx_per_block = (est_tx_per_step * steps_per_block as f64).round() as u64;
-                for b in 0..blocks as u64 {
-                    jobs_cycles.push(per_block);
-                    let jt = job_tests(b);
-                    job_meta.push((
-                        ai,
-                        CounterSet {
-                            tests: jt,
-                            instructions: CounterSet::instructions_for_tests(jt),
-                            transactions: tx_per_block,
-                            min_transactions: 3 * steps_per_block,
-                            bank_conflicts: 0,
-                            compute_cycles: steps_per_block * cfg.cost.gpu_step_base_cycles,
-                            mem_cycles: steps_per_block * mem_step_cycles,
-                            blocks: 1,
-                        },
-                    ));
-                }
+        }
+
+        // Intelligent scheduling: LPT over all ALS jobs on the SMs.
+        let schedule = trigon_sched::lpt(&jobs_cycles, spec.sm_count);
+        let mut profile = ProfileData::new(als.len(), spec.sm_count as usize);
+        for ((ai, c), &sm) in job_meta.iter().zip(schedule.assignment.iter()) {
+            profile.record(*ai, sm as usize, c);
+        }
+        profile
+            .devices
+            .push(DeviceProfile::new(spec, profile.totals.clone()));
+        let mut kernel_s = spec.cycles_to_seconds(schedule.makespan()) + spec.kernel_launch_s;
+
+        // The paper's naive Eq. 6 pipeline: average per-tier chunk times.
+        let global_n = als.len() - shared_n;
+        let tau_s = if shared_n > 0 {
+            tau_shared_total / shared_n as f64
+        } else {
+            0.0
+        };
+        let tau_g = if global_n > 0 {
+            tau_global_total / global_n as f64
+        } else {
+            0.0
+        };
+        let eq6_s = eq6_total_time(
+            shared_n as u64,
+            global_n as u64,
+            tau_s,
+            tau_g,
+            spec.sm_count,
+        );
+
+        let layout_bytes: u64 = als.iter().map(|a| (a.size_bits() / 8) as u64 + 1).sum();
+        let transfer_model = TransferModel::from_spec(spec);
+        let mut faults_outcome = cfg.faults.as_ref().map(|_| FaultOutcome::new());
+        let mut transfer_s = transfer_model.transfer_seconds(layout_bytes);
+        let mut landed = true;
+        // Device timeline: jobs start on their SM lanes once the ALS
+        // layouts have crossed PCIe (and, under fault injection, past every
+        // failed attempt plus its backoff).
+        let kernel_start =
+            if let (Some(fc), Some(out)) = (cfg.faults.as_ref(), faults_outcome.as_mut()) {
+                let t = crate::gpu_exec::transfer_with_faults(
+                    &transfer_model,
+                    layout_bytes,
+                    spec,
+                    fc,
+                    out,
+                    tracer,
+                );
+                transfer_s = t.seconds;
+                landed = t.landed;
+                t.end_cycles
+            } else if tracer.enabled() {
+                trigon_gpu_sim::emit::trace_transfer(
+                    tracer,
+                    &transfer_model,
+                    layout_bytes,
+                    spec.clock_hz,
+                    0,
+                )
+            } else {
+                0
+            };
+        let mut cpu_fallback_s = 0.0;
+        if landed {
+            if tracer.enabled() {
+                trigon_sched::trace_schedule(
+                    tracer,
+                    &schedule,
+                    &jobs_cycles,
+                    "kernel",
+                    kernel_start,
+                );
             }
+        } else {
+            // Transfer retries exhausted: the kernel never launches; the
+            // (already host-exact) count is priced at the CPU path instead.
+            let out = faults_outcome
+                .as_mut()
+                .expect("transfer faults imply a fault config");
+            out.run_cpu_fallback = true;
+            out.record(FaultEvent::RunCpuFallback);
+            tracer.instant_at("recovery.cpu_fallback", Track::Pcie, kernel_start);
+            kernel_s = 0.0;
+            cpu_fallback_s = cfg.cost.cpu_seconds(g.n(), tests);
         }
-    }
-
-    // Intelligent scheduling: LPT over all ALS jobs on the SMs.
-    let schedule = trigon_sched::lpt(&jobs_cycles, spec.sm_count);
-    let mut profile = ProfileData::new(als.len(), spec.sm_count as usize);
-    for ((ai, c), &sm) in job_meta.iter().zip(schedule.assignment.iter()) {
-        profile.record(*ai, sm as usize, c);
-    }
-    profile
-        .devices
-        .push(DeviceProfile::new(spec, profile.totals.clone()));
-    let mut kernel_s = spec.cycles_to_seconds(schedule.makespan()) + spec.kernel_launch_s;
-
-    // The paper's naive Eq. 6 pipeline: average per-tier chunk times.
-    let global_n = als.len() - shared_n;
-    let tau_s = if shared_n > 0 {
-        tau_shared_total / shared_n as f64
-    } else {
-        0.0
-    };
-    let tau_g = if global_n > 0 {
-        tau_global_total / global_n as f64
-    } else {
-        0.0
-    };
-    let eq6_s = eq6_total_time(
-        shared_n as u64,
-        global_n as u64,
-        tau_s,
-        tau_g,
-        spec.sm_count,
-    );
-
-    let layout_bytes: u64 = als.iter().map(|a| (a.size_bits() / 8) as u64 + 1).sum();
-    let transfer_model = TransferModel::from_spec(spec);
-    let mut faults_outcome = cfg.faults.as_ref().map(|_| FaultOutcome::new());
-    let mut transfer_s = transfer_model.transfer_seconds(layout_bytes);
-    let mut landed = true;
-    // Device timeline: jobs start on their SM lanes once the ALS
-    // layouts have crossed PCIe (and, under fault injection, past every
-    // failed attempt plus its backoff).
-    let kernel_start = if let (Some(fc), Some(out)) = (cfg.faults.as_ref(), faults_outcome.as_mut())
-    {
-        let t = crate::gpu_exec::transfer_with_faults(
-            &transfer_model,
-            layout_bytes,
-            spec,
-            fc,
-            out,
-            tracer,
-        );
-        transfer_s = t.seconds;
-        landed = t.landed;
-        t.end_cycles
-    } else if tracer.enabled() {
-        trigon_gpu_sim::emit::trace_transfer(
-            tracer,
-            &transfer_model,
-            layout_bytes,
-            spec.clock_hz,
-            0,
-        )
-    } else {
-        0
-    };
-    let mut cpu_fallback_s = 0.0;
-    if landed {
-        if tracer.enabled() {
-            trigon_sched::trace_schedule(tracer, &schedule, &jobs_cycles, "kernel", kernel_start);
-        }
-    } else {
-        // Transfer retries exhausted: the kernel never launches; the
-        // (already host-exact) count is priced at the CPU path instead.
-        let out = faults_outcome
-            .as_mut()
-            .expect("transfer faults imply a fault config");
-        out.run_cpu_fallback = true;
-        out.record(FaultEvent::RunCpuFallback);
-        tracer.instant_at("recovery.cpu_fallback", Track::Pcie, kernel_start);
-        kernel_s = 0.0;
-        cpu_fallback_s = cfg.cost.cpu_seconds(g.n(), tests);
-    }
-    let total_s = kernel_s
-        + transfer_s
-        + cfg.cost.host_prep_seconds(g.n(), g.m())
-        + cfg.cost.gpu_context_init_s
-        + cpu_fallback_s;
-
-    drop(count_span);
-    drop(count_guard);
-    if collector.enabled() {
-        trigon_gpu_sim::emit_transfer(collector, &transfer_model, layout_bytes);
-        collector.add("hybrid.shared_als", shared_n as u64);
-        collector.add("hybrid.global_als", global_n as u64);
-        collector.add("gpu.makespan_cycles", schedule.makespan());
-        collector.gauge(
-            "gpu.sm_utilization",
-            trigon_gpu_sim::sm_utilization(&schedule.loads),
-        );
-        // Pricing stays conflict-free; the recorded degree documents why.
-        collector.gauge("shared.bank_conflict_degree", f64::from(conflict_degree));
-    }
-
-    (
-        HybridResult {
-            triangles: kernel.triangles_in(&partial),
+        let total_s = kernel_s
+            + transfer_s
+            + cfg.cost.host_prep_seconds(g.n(), g.m())
+            + cfg.cost.gpu_context_init_s
+            + cpu_fallback_s;
+        HybridPlan {
             tests,
             shared_als: shared_n,
             global_als: global_n,
@@ -399,9 +441,30 @@ pub fn run_hybrid_workload_traced<K: ChunkKernel>(
             total_s,
             faults: faults_outcome,
             profile,
-        },
-        partial,
-    )
+            layout_bytes,
+            makespan_cycles: schedule.makespan(),
+            sm_utilization: trigon_gpu_sim::sm_utilization(&schedule.loads),
+        }
+    }
+
+    /// Records the transfer, placement and schedule counters into
+    /// `collector`.
+    fn emit(&self, spec: &DeviceSpec, collector: &mut Collector) {
+        if !collector.enabled() {
+            return;
+        }
+        let transfer_model = TransferModel::from_spec(spec);
+        trigon_gpu_sim::emit_transfer(collector, &transfer_model, self.layout_bytes);
+        collector.add("hybrid.shared_als", self.shared_als as u64);
+        collector.add("hybrid.global_als", self.global_als as u64);
+        collector.add("gpu.makespan_cycles", self.makespan_cycles);
+        collector.gauge("gpu.sm_utilization", self.sm_utilization);
+        // Pricing stays conflict-free; the recorded degree documents why.
+        collector.gauge(
+            "shared.bank_conflict_degree",
+            f64::from(self.bank_conflict_degree),
+        );
+    }
 }
 
 /// Cheap per-ALS estimate of warp-step transactions: one sampled step at
@@ -464,8 +527,8 @@ mod tests {
         ] {
             let r = run_hybrid(&g, &cfg());
             assert_eq!(r.triangles, triangles::count_edge_iterator(&g));
-            assert_eq!(r.tests, crate::count::total_tests(&g));
-            assert_eq!(r.shared_als + r.global_als, build_als(&g).len());
+            assert_eq!(r.plan.tests, crate::count::total_tests(&g));
+            assert_eq!(r.plan.shared_als + r.plan.global_als, build_als(&g).len());
         }
     }
 
@@ -477,10 +540,10 @@ mod tests {
         let g = gen::community_ring(3000, 150, 0.2, 3, 4);
         let r = run_hybrid(&g, &cfg());
         assert!(
-            r.shared_als > r.global_als,
+            r.plan.shared_als > r.plan.global_als,
             "shared {} vs global {}",
-            r.shared_als,
-            r.global_als
+            r.plan.shared_als,
+            r.plan.global_als
         );
     }
 
@@ -490,8 +553,8 @@ mod tests {
         // dominant ALS in 16 KB shared memory.
         let g = gen::gnp(1000, 16.0 / 1000.0, 5);
         let r = run_hybrid(&g, &cfg());
-        assert!(r.global_als >= 1);
-        assert!(r.split.oversize_count >= 1);
+        assert!(r.plan.global_als >= 1);
+        assert!(r.plan.split.oversize_count >= 1);
     }
 
     #[test]
@@ -500,12 +563,12 @@ mod tests {
         // SMs — with several global ALS the makespan must win.
         let g = gen::gnp(900, 16.0 / 900.0, 7);
         let r = run_hybrid(&g, &cfg());
-        if r.global_als >= 2 {
+        if r.plan.global_als >= 2 {
             assert!(
-                r.kernel_s <= r.eq6_s,
+                r.plan.kernel_s <= r.plan.eq6_s,
                 "LPT {:.4}s should not lose to Eq.6 {:.4}s",
-                r.kernel_s,
-                r.eq6_s
+                r.plan.kernel_s,
+                r.plan.eq6_s
             );
         }
     }
@@ -525,11 +588,11 @@ mod tests {
             &Tracer::disabled(),
         )
         .unwrap();
-        assert!(h.shared_als > h.global_als);
+        assert!(h.plan.shared_als > h.plan.global_als);
         assert!(
-            h.kernel_s < global.kernel_s,
+            h.plan.kernel_s < global.kernel_s,
             "hybrid {:.4}s vs all-global {:.4}s",
-            h.kernel_s,
+            h.plan.kernel_s,
             global.kernel_s
         );
         assert_eq!(h.triangles, global.triangles);
@@ -561,7 +624,7 @@ mod tests {
         let g = gen::community_ring(4000, 250, 0.2, 3, 11);
         let tesla = run_hybrid(&g, &HybridConfig::new(DeviceSpec::c1060()));
         let fermi = run_hybrid(&g, &HybridConfig::new(DeviceSpec::c2050()));
-        assert!(fermi.shared_als >= tesla.shared_als);
+        assert!(fermi.plan.shared_als >= tesla.plan.shared_als);
         assert_eq!(fermi.triangles, tesla.triangles);
     }
 
@@ -570,8 +633,8 @@ mod tests {
         let g = gen::community_ring(1500, 100, 0.2, 2, 3);
         let mut c = Collector::new();
         let r = run_hybrid_collected(&g, &cfg(), &mut c);
-        assert_eq!(c.counter("hybrid.shared_als"), r.shared_als as u64);
-        assert_eq!(c.counter("hybrid.global_als"), r.global_als as u64);
+        assert_eq!(c.counter("hybrid.shared_als"), r.plan.shared_als as u64);
+        assert_eq!(c.counter("hybrid.global_als"), r.plan.global_als as u64);
         assert!(c.phase_total("split") > 0.0);
         assert!(c.phase_total("count") > 0.0);
         assert!(c.counter("xfer.bytes") > 0);
@@ -585,7 +648,7 @@ mod tests {
         let g = Graph::from_edges(0, &[]).unwrap();
         let r = run_hybrid(&g, &cfg());
         assert_eq!(r.triangles, 0);
-        assert_eq!(r.shared_als, 0);
-        assert_eq!(r.global_als, 0);
+        assert_eq!(r.plan.shared_als, 0);
+        assert_eq!(r.plan.global_als, 0);
     }
 }

@@ -398,8 +398,14 @@ impl ChunkKernel for IntersectKernel {
         *p += 1;
     }
 
-    fn compute_als(&self, g: &Graph, als: &Als) -> u64 {
-        count_als_intersect(g, als)
+    fn add_als(&self, p: &mut u64, g: &Graph, als: &Als) {
+        *p = p.wrapping_add(count_als_intersect(g, als));
+    }
+
+    fn add_als_intersect(&self, p: &mut u64, g: &Graph, als: &Als) -> IntersectStats {
+        let stats = als_stats(g, als);
+        *p = p.wrapping_add(stats.triangles);
+        stats
     }
 
     fn merge(&self, a: u64, b: u64) -> u64 {
@@ -515,10 +521,13 @@ mod tests {
         use crate::workload::{ChunkKernel, CountKernel};
         let g = gen::gnp(150, 0.07, 9);
         for a in &build_als(&g) {
-            assert_eq!(
-                IntersectKernel.compute_als(&g, a),
-                CountKernel.compute_als(&g, a)
-            );
+            let (mut fast, mut intersect, mut priced) = (0u64, 0u64, 0u64);
+            CountKernel.add_als(&mut fast, &g, a);
+            IntersectKernel.add_als(&mut intersect, &g, a);
+            let stats = IntersectKernel.add_als_intersect(&mut priced, &g, a);
+            assert_eq!(intersect, fast);
+            assert_eq!(priced, fast);
+            assert_eq!(stats, als_stats(&g, a));
         }
     }
 

@@ -78,7 +78,7 @@ pub use capacity::{
 pub use cluster::{run_cluster, run_cluster_workload};
 pub use error::Error;
 pub use gpu_exec::{GpuConfig, GpuRunResult, SchedulePolicy, WorkDivision};
-pub use hybrid::{HybridConfig, HybridResult, Placement};
+pub use hybrid::{HybridConfig, HybridPlan, HybridResult, Placement};
 pub use intersect::{IntersectKernel, IntersectStats, OrientedCsr};
 pub use layout::{GlobalLayout, LayoutKind};
 pub use multi::{run_fleet, run_fleet_workload};

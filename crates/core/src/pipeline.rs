@@ -3,7 +3,7 @@
 
 use crate::als::Als;
 use crate::timemodel::CostModel;
-use crate::workload::{compute_als_by_walk, ChunkKernel};
+use crate::workload::{add_als_by_walk, fold_als, ChunkKernel};
 use trigon_gpu_sim::{CounterSet, ProfileData};
 use trigon_graph::Graph;
 use trigon_telemetry::{Collector, Tracer};
@@ -74,7 +74,8 @@ fn cpu_profile(als: &[Als]) -> ProfileData {
 /// [`crate::als::build_als`] produces for `g`) on the host, recording
 /// the `count` phase into `collector` and a host `count` span into
 /// `tracer` (plus an `als.tests` histogram of per-window workloads on
-/// the fast path).
+/// the fast path). Every method computes each ALS once, on all lanes of
+/// the current pool, folding them in ALS order.
 ///
 /// Returns the timing/count report together with the merged — but *not*
 /// finalized — workload partial; the caller runs [`ChunkKernel::finalize`].
@@ -94,15 +95,12 @@ pub fn run_workload_traced<K: ChunkKernel>(
         let _s = tracer.span("count", "phase");
         match method {
             CountMethod::CpuExhaustive => {
-                let partial = als.iter().fold(kernel.identity(), |acc, a| {
-                    kernel.merge(acc, compute_als_by_walk(kernel, g, a))
-                });
+                let (partial, _) =
+                    fold_als(kernel, g, als, |p, a| add_als_by_walk(kernel, p, g, a));
                 (partial, combination_tests(), cpu_profile(als))
             }
             CountMethod::CpuFast => {
-                let partial = als.iter().fold(kernel.identity(), |acc, a| {
-                    kernel.merge(acc, kernel.compute_als(g, a))
-                });
+                let (partial, _) = fold_als(kernel, g, als, |p, a| kernel.add_als(p, g, a));
                 if tracer.enabled() {
                     for a in als {
                         tracer.record("als.tests", a.test_count(3) as f64);
@@ -111,12 +109,12 @@ pub fn run_workload_traced<K: ChunkKernel>(
                 (partial, combination_tests(), cpu_profile(als))
             }
             CountMethod::CpuIntersect => {
+                let (partial, stats) =
+                    fold_als(kernel, g, als, |p, a| kernel.add_als_intersect(p, g, a));
                 let mut profile = ProfileData::new(als.len(), 0);
-                let mut partial = kernel.identity();
                 let mut ops = 0u128;
-                for (i, a) in als.iter().enumerate() {
-                    let stats = crate::intersect::als_stats(g, a);
-                    let als_ops = u128::from(stats.ops());
+                for (i, s) in stats.iter().enumerate() {
+                    let als_ops = u128::from(s.ops());
                     ops += als_ops;
                     profile.record_als(
                         i,
@@ -127,10 +125,7 @@ pub fn run_workload_traced<K: ChunkKernel>(
                             ..CounterSet::default()
                         },
                     );
-                    partial = kernel.merge(partial, kernel.compute_als(g, a));
-                    if tracer.enabled() {
-                        tracer.record("als.intersect_ops", als_ops as f64);
-                    }
+                    tracer.record("als.intersect_ops", als_ops as f64);
                 }
                 (partial, ops, profile)
             }

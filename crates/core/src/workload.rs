@@ -29,8 +29,9 @@
 //!
 //! A kernel must satisfy three laws, relied on by the executor:
 //!
-//! 1. **Purity** — [`ChunkKernel::emit`] depends only on its arguments;
-//!    the same combination always contributes the same update.
+//! 1. **Purity** — [`ChunkKernel::emit`] and [`ChunkKernel::add_als`]
+//!    depend only on their arguments; the same combination (or ALS)
+//!    always contributes the same update.
 //! 2. **Commutative, associative merge** — [`ChunkKernel::merge`] over
 //!    any grouping/order of the same per-ALS partials yields a partial
 //!    that is *semantically* equal; partials whose in-memory order can
@@ -40,13 +41,20 @@
 //!    execution.
 //! 3. **Merge determinism** — the executors always fold partials in a
 //!    canonical order (block order, shard order), so even a merge that is
-//!    only commutative *after* `finalize` reduces deterministically.
+//!    only commutative *after* `finalize` reduces deterministically. The
+//!    host folds split the ALS list into one contiguous range per pool
+//!    lane, accumulate each range in place in ALS order, and merge the
+//!    lane partials in range order: the serial fold's exact result —
+//!    enumeration's list order included — at every thread width.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use crate::als::{build_als, Als};
 use crate::count::count_als_fast;
 use crate::error::Error;
+use crate::intersect::IntersectStats;
+use rayon::prelude::*;
 use trigon_graph::Graph;
 
 /// The analyses the pipeline can run — the CLI's `--workload` values.
@@ -117,12 +125,24 @@ pub trait ChunkKernel: Sync {
     /// is an edge — `emit` never re-tests.
     fn emit(&self, p: &mut Self::Partial, g: &Graph, als: &Als, combo: &[u32]);
 
-    /// The whole-ALS partial, host-computed — must equal the merge of
-    /// every per-block [`emit`](Self::emit) walk over the same ALS
-    /// (after [`finalize`](Self::finalize)). Used by the sampled
-    /// fidelity mode and by fault recovery's host recompute.
-    fn compute_als(&self, g: &Graph, als: &Als) -> Self::Partial {
-        compute_als_by_walk(self, g, als)
+    /// Adds the whole ALS into `p`, host-computed — the same update as
+    /// every per-block [`emit`](Self::emit) walk over the ALS (after
+    /// [`finalize`](Self::finalize)). Used by the host folds, the hybrid
+    /// count, the sampled fidelity mode and fault recovery's host
+    /// recompute.
+    fn add_als(&self, p: &mut Self::Partial, g: &Graph, als: &Als) {
+        add_als_by_walk(self, p, g, als);
+    }
+
+    /// Adds the whole ALS into `p`, as [`add_als`](Self::add_als) does,
+    /// and returns the degree-ordered intersection's operation counts
+    /// for it — what the intersection methods price. The default runs
+    /// both passes; [`IntersectKernel`](crate::intersect::IntersectKernel)
+    /// takes its count from the one [`als_stats`](crate::intersect::als_stats)
+    /// pass that yields the counts.
+    fn add_als_intersect(&self, p: &mut Self::Partial, g: &Graph, als: &Als) -> IntersectStats {
+        self.add_als(p, g, als);
+        crate::intersect::als_stats(g, als)
     }
 
     /// Deterministic, associative merge of two partials.
@@ -150,29 +170,88 @@ pub trait ChunkKernel: Sync {
 
 /// Reference per-ALS compute: the faithful Algorithm 2 walk — every
 /// `GenNxtComb` mode stream, each combination edge-tested, survivors
-/// emitted. This is the default [`ChunkKernel::compute_als`]; kernels
-/// override it with the fast window lister, and the override must agree
-/// with this walk (the attribution-set equality the counting pipeline
-/// pins per ALS).
-pub fn compute_als_by_walk<K: ChunkKernel + ?Sized>(
+/// emitted into `p`. This is the default [`ChunkKernel::add_als`];
+/// kernels override it with the fast window lister, and the override
+/// must agree with this walk (the attribution-set equality the counting
+/// pipeline pins per ALS).
+pub fn add_als_by_walk<K: ChunkKernel + ?Sized>(
     kernel: &K,
+    p: &mut K::Partial,
     g: &Graph,
     als: &Als,
-) -> K::Partial {
-    let mut p = kernel.identity();
+) {
     let space = als.space(3);
     for &mode in als.modes() {
         let mut cur = space.cursor(mode);
         while let Some(c) = cur.current() {
             if als.edge(g, c[0], c[1]) && als.edge(g, c[0], c[2]) && als.edge(g, c[1], c[2]) {
-                kernel.emit(&mut p, g, als, c);
+                kernel.emit(p, g, als, c);
             }
             if !cur.advance() {
                 break;
             }
         }
     }
-    p
+}
+
+/// Folds every ALS of `als` into one partial on all lanes of the
+/// current pool: one contiguous range of about equal window degree sum
+/// per lane, each accumulated in place, in ALS order, by `add`; then the
+/// lane partials merge in range order. That reproduces the serial fold
+/// bit for bit (law 3 of the [module docs](self)) at every width, and a
+/// one-lane pool runs inline. `add`'s per-ALS returns come back in ALS
+/// order.
+pub(crate) fn fold_als<K, S, F>(kernel: &K, g: &Graph, als: &[Als], add: F) -> (K::Partial, Vec<S>)
+where
+    K: ChunkKernel,
+    S: Send,
+    F: Fn(&mut K::Partial, &Als) -> S + Sync,
+{
+    let lanes: Vec<(K::Partial, Vec<S>)> = lane_ranges(g, als, rayon::current_num_threads())
+        .par_iter()
+        .map(|r| {
+            let mut p = kernel.identity();
+            let per_als = als[r.clone()].iter().map(|a| add(&mut p, a)).collect();
+            (p, per_als)
+        })
+        .collect();
+    let mut per_als = Vec::with_capacity(als.len());
+    let partial = lanes
+        .into_iter()
+        .map(|(p, s)| {
+            per_als.extend(s);
+            p
+        })
+        .reduce(|a, b| kernel.merge(a, b))
+        .unwrap_or_else(|| kernel.identity());
+    (partial, per_als)
+}
+
+/// Cuts `als` into at most `lanes` non-empty contiguous ranges of about
+/// equal cost, an ALS's cost being its window's degree sum (the edges
+/// its per-ALS compute scans).
+fn lane_ranges(g: &Graph, als: &[Als], lanes: usize) -> Vec<Range<usize>> {
+    let mut ranges = Vec::with_capacity(lanes);
+    let mut start = 0;
+    if lanes > 1 {
+        let cost: Vec<u64> = als
+            .iter()
+            .map(|a| 1 + a.window().iter().map(|&v| g.degree(v) as u64).sum::<u64>())
+            .collect();
+        let total: u64 = cost.iter().sum();
+        let mut acc = 0u64;
+        for (i, c) in cost.iter().enumerate() {
+            acc += c;
+            if ranges.len() + 1 < lanes && acc * lanes as u64 >= total * (ranges.len() as u64 + 1) {
+                ranges.push(start..i + 1);
+                start = i + 1;
+            }
+        }
+    }
+    if start < als.len() {
+        ranges.push(start..als.len());
+    }
+    ranges
 }
 
 /// Fast per-ALS triangle listing with the counting pipeline's attribution
@@ -240,8 +319,8 @@ impl ChunkKernel for CountKernel {
         *p += 1;
     }
 
-    fn compute_als(&self, g: &Graph, als: &Als) -> u64 {
-        count_als_fast(g, als)
+    fn add_als(&self, p: &mut u64, g: &Graph, als: &Als) {
+        *p = p.wrapping_add(count_als_fast(g, als));
     }
 
     fn merge(&self, a: u64, b: u64) -> u64 {
@@ -280,10 +359,8 @@ impl ChunkKernel for EnumerateKernel {
         p.push(global_triple(als, combo));
     }
 
-    fn compute_als(&self, g: &Graph, als: &Als) -> Vec<[u32; 3]> {
-        let mut p = Vec::new();
+    fn add_als(&self, p: &mut Vec<[u32; 3]>, g: &Graph, als: &Als) {
         for_each_als_triangle(g, als, |u, v, w| p.push([u, v, w]));
-        p
     }
 
     fn merge(&self, mut a: Vec<[u32; 3]>, mut b: Vec<[u32; 3]>) -> Vec<[u32; 3]> {
@@ -345,14 +422,12 @@ impl ChunkKernel for ClusteringKernel {
         }
     }
 
-    fn compute_als(&self, g: &Graph, als: &Als) -> Vec<u64> {
-        let mut p = self.identity();
+    fn add_als(&self, p: &mut Vec<u64>, g: &Graph, als: &Als) {
         for_each_als_triangle(g, als, |u, v, w| {
             for x in [u, v, w] {
                 p[x as usize] = p[x as usize].wrapping_add(1);
             }
         });
-        p
     }
 
     fn merge(&self, mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
@@ -413,15 +488,13 @@ impl ChunkKernel for KTrussKernel {
         }
     }
 
-    fn compute_als(&self, g: &Graph, als: &Als) -> Vec<u64> {
-        let mut p = self.identity();
+    fn add_als(&self, p: &mut Vec<u64>, g: &Graph, als: &Als) {
         for_each_als_triangle(g, als, |u, v, w| {
             for (a, b) in [(u, v), (u, w), (v, w)] {
                 let e = self.idx.id(g, a, b);
                 p[e] = p[e].wrapping_add(1);
             }
         });
-        p
     }
 
     fn merge(&self, mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
@@ -584,7 +657,7 @@ pub fn k_truss(g: &Graph, k: u32) -> KTrussResult {
     let kern = KTrussKernel::new(g);
     let mut sup = kern.identity();
     for a in build_als(g) {
-        sup = kern.merge(sup, kern.compute_als(g, &a));
+        kern.add_als(&mut sup, g, &a);
     }
     k_truss_from_support(g, kern.index(), &sup, k)
 }
@@ -652,6 +725,20 @@ mod tests {
     use std::collections::BTreeSet;
     use trigon_graph::{gen, triangles};
 
+    /// One ALS's partial through the kernel's fast in-place compute.
+    fn fast_partial<K: ChunkKernel>(kern: &K, g: &Graph, als: &Als) -> K::Partial {
+        let mut p = kern.identity();
+        kern.add_als(&mut p, g, als);
+        p
+    }
+
+    /// One ALS's partial through the faithful Algorithm 2 walk.
+    fn walked_partial<K: ChunkKernel>(kern: &K, g: &Graph, als: &Als) -> K::Partial {
+        let mut p = kern.identity();
+        add_als_by_walk(kern, &mut p, g, als);
+        p
+    }
+
     #[test]
     fn workload_parse_roundtrips() {
         for (name, k, expect) in [
@@ -678,8 +765,8 @@ mod tests {
             let g = gen::gnp(60, 0.1, seed);
             let kern = EnumerateKernel;
             for als in build_als(&g) {
-                let mut walked = compute_als_by_walk(&kern, &g, &als);
-                let mut fast = kern.compute_als(&g, &als);
+                let mut walked = walked_partial(&kern, &g, &als);
+                let mut fast = fast_partial(&kern, &g, &als);
                 walked.sort_unstable();
                 fast.sort_unstable();
                 assert_eq!(walked, fast, "seed {seed} als {}", als.index);
@@ -696,13 +783,171 @@ mod tests {
             for als in build_als(&g) {
                 // Exhaustive emit walk and the fast override agree.
                 assert_eq!(
-                    compute_als_by_walk(&kern, &g, &als),
-                    kern.compute_als(&g, &als)
+                    walked_partial(&kern, &g, &als),
+                    fast_partial(&kern, &g, &als)
                 );
-                total = kern.merge(total, kern.compute_als(&g, &als));
+                kern.add_als(&mut total, &g, &als);
             }
             assert_eq!(total, triangles::count_brute_force(&g), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn lane_folds_reproduce_the_serial_fold_at_every_width() {
+        // Enumeration's unsorted list is the strictest witness: any
+        // reordering of ALS or lanes shows before `finalize`.
+        let g = gen::community_ring(1200, 60, 0.25, 3, 4);
+        let als = build_als(&g);
+        let kern = EnumerateKernel;
+        let mut serial = kern.identity();
+        for a in &als {
+            kern.add_als(&mut serial, &g, a);
+        }
+        for width in 1..=5 {
+            let (folded, per_als) = rayon::ThreadPool::new(width).install(|| {
+                fold_als(&kern, &g, &als, |p, a| {
+                    kern.add_als(p, &g, a);
+                    a.index
+                })
+            });
+            assert_eq!(folded, serial, "width {width}");
+            assert_eq!(per_als, (0..als.len()).collect::<Vec<_>>(), "width {width}");
+            let ranges = lane_ranges(&g, &als, width);
+            assert!(ranges.len() <= width && ranges.iter().all(|r| !r.is_empty()));
+            assert_eq!(ranges.first().map(|r| r.start), Some(0));
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+            assert_eq!(ranges.last().map(|r| r.end), Some(als.len()));
+        }
+    }
+
+    /// Wraps a kernel and counts, on every lane, its whole-ALS computes:
+    /// `add_als` calls and `add_als_intersect` calls (each of which is
+    /// one [`als_stats`](crate::intersect::als_stats) pass).
+    struct PassCounter<K> {
+        inner: K,
+        adds: std::sync::atomic::AtomicUsize,
+        intersects: std::sync::atomic::AtomicUsize,
+    }
+
+    impl<K: ChunkKernel> PassCounter<K> {
+        fn new(inner: K) -> Self {
+            Self {
+                inner,
+                adds: 0.into(),
+                intersects: 0.into(),
+            }
+        }
+
+        /// `(add_als, add_als_intersect)` calls so far; resets both.
+        fn take(&self) -> (usize, usize) {
+            use std::sync::atomic::Ordering::SeqCst;
+            (self.adds.swap(0, SeqCst), self.intersects.swap(0, SeqCst))
+        }
+    }
+
+    impl<K: ChunkKernel> ChunkKernel for PassCounter<K> {
+        type Partial = K::Partial;
+
+        fn identity(&self) -> K::Partial {
+            self.inner.identity()
+        }
+
+        fn emit(&self, p: &mut K::Partial, g: &Graph, als: &Als, combo: &[u32]) {
+            self.inner.emit(p, g, als, combo);
+        }
+
+        fn add_als(&self, p: &mut K::Partial, g: &Graph, als: &Als) {
+            self.adds.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.inner.add_als(p, g, als);
+        }
+
+        fn add_als_intersect(&self, p: &mut K::Partial, g: &Graph, als: &Als) -> IntersectStats {
+            self.intersects
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.inner.add_als_intersect(p, g, als)
+        }
+
+        fn merge(&self, a: K::Partial, b: K::Partial) -> K::Partial {
+            self.inner.merge(a, b)
+        }
+
+        fn corrupt(&self, p: &mut K::Partial, mask: u64) {
+            self.inner.corrupt(p, mask);
+        }
+
+        fn triangles_in(&self, p: &K::Partial) -> u64 {
+            self.inner.triangles_in(p)
+        }
+    }
+
+    #[test]
+    fn every_executor_computes_each_als_once() {
+        use crate::gpu_exec::{run_workload_traced_with_als, GpuConfig};
+        use crate::hybrid::{run_hybrid_workload_traced, HybridConfig};
+        use crate::intersect::IntersectKernel;
+        use crate::pipeline::{run_workload_traced, CountMethod};
+        use crate::timemodel::CostModel;
+        use trigon_gpu_sim::DeviceSpec;
+        use trigon_telemetry::{Collector, Level, Tracer};
+
+        let g = gen::community_ring(400, 25, 0.25, 3, 6);
+        let als = build_als(&g);
+        let n = als.len();
+        assert!(n > 8, "the ring must have many ALS, got {n}");
+        // Sampled mode skips the ALS whose combination space is empty
+        // (they hold no triangle).
+        let sampled = als.iter().filter(|a| a.test_count(3) > 0).count();
+        let count = PassCounter::new(CountKernel);
+        let intersect = PassCounter::new(IntersectKernel);
+        let dev = DeviceSpec::c2050();
+        rayon::ThreadPool::new(2).install(|| {
+            for level in [Level::Off, Level::Trace] {
+                let tracer = Tracer::with_level(level);
+                let mut c = Collector::with_level(level);
+                for (method, want) in [
+                    (CountMethod::CpuExhaustive, (0, 0)),
+                    (CountMethod::CpuFast, (n, 0)),
+                    (CountMethod::CpuIntersect, (0, n)),
+                ] {
+                    let cost = CostModel::default();
+                    let _ = run_workload_traced(&g, &als, method, &cost, &count, &mut c, &tracer);
+                    assert_eq!(count.take(), want, "{method:?} at {level:?}");
+                }
+                let cost = CostModel::default();
+                let _ = run_workload_traced(
+                    &g,
+                    &als,
+                    CountMethod::CpuIntersect,
+                    &cost,
+                    &intersect,
+                    &mut c,
+                    &tracer,
+                );
+                assert_eq!(intersect.take(), (0, n), "cpu-intersect at {level:?}");
+                let _ = run_hybrid_workload_traced(
+                    &g,
+                    &als,
+                    &HybridConfig::new(dev.clone()),
+                    &count,
+                    &mut c,
+                    &tracer,
+                );
+                assert_eq!(count.take(), (n, 0), "hybrid at {level:?}");
+                for (cfg, want) in [
+                    (GpuConfig::optimized(dev.clone()), (0, 0)),
+                    (GpuConfig::optimized(dev.clone()).sampled(), (sampled, 0)),
+                    (GpuConfig::intersect(dev.clone()), (0, n)),
+                ] {
+                    let _ = run_workload_traced_with_als(&g, &als, &cfg, &count, &mut c, &tracer)
+                        .unwrap();
+                    assert_eq!(count.take(), want, "{:?} at {level:?}", cfg.mode);
+                }
+                let cfg = GpuConfig::intersect(dev.clone());
+                let _ = run_workload_traced_with_als(&g, &als, &cfg, &intersect, &mut c, &tracer)
+                    .unwrap();
+                assert_eq!(intersect.take(), (0, n), "gpu-intersect at {level:?}");
+            }
+        });
     }
 
     #[test]
@@ -712,7 +957,7 @@ mod tests {
             let kern = EnumerateKernel;
             let mut all = kern.identity();
             for als in build_als(&g) {
-                all = kern.merge(all, kern.compute_als(&g, &als));
+                kern.add_als(&mut all, &g, &als);
             }
             kern.finalize(&mut all);
             let ours: BTreeSet<(u32, u32, u32)> = all.iter().map(|t| (t[0], t[1], t[2])).collect();
@@ -732,7 +977,7 @@ mod tests {
             let kern = ClusteringKernel::new(&g);
             let mut counts = kern.identity();
             for als in build_als(&g) {
-                counts = kern.merge(counts, kern.compute_als(&g, &als));
+                kern.add_als(&mut counts, &g, &als);
             }
             assert_eq!(counts, triangles::local_counts(&g), "seed {seed}");
             let cc = clustering_coefficients_from_counts(&g, &counts);
@@ -761,7 +1006,7 @@ mod tests {
         let kern = KTrussKernel::new(&g);
         let mut sup = kern.identity();
         for als in build_als(&g) {
-            sup = kern.merge(sup, kern.compute_als(&g, &als));
+            kern.add_als(&mut sup, &g, &als);
         }
         let total: u64 = sup.iter().sum();
         assert_eq!(total, 3 * triangles::count_brute_force(&g));

@@ -5,6 +5,9 @@
 //! independent reference computation (clustering derived from the
 //! enumeration listing, k-truss against a brute-force peeler).
 
+mod common;
+
+use common::{behaviour, first_difference};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use trigon::core::gpu_exec::{self, GpuConfig};
@@ -196,31 +199,43 @@ fn kcount_k3_equals_triangles() {
     assert_eq!(section, WorkloadSection::KCount { k: 3 });
 }
 
-/// The builder's thread pinning gives the same bits at every width.
+/// The builder's thread pinning gives the same bits at every width: for
+/// every admitted method × workload, the whole report and Chrome trace
+/// (host wall-clock removed) at widths 1, 2 and 4. The host folds, the
+/// hybrid count and the simulators all split their ALS list across the
+/// pool, so the graphs have many ALS; the combination-enumerating
+/// methods get a smaller ring.
 #[test]
 fn thread_width_never_changes_workload_results() {
-    let g = gen::gnp(400, 0.04, 11);
-    for w in [
-        Workload::Triangles,
-        Workload::Clustering,
-        Workload::KTruss(5),
-        Workload::Enumerate,
-    ] {
-        let serial = Run::new(&g)
-            .workload(w)
-            .method(Method::GpuOptimized)
-            .telemetry(Level::Off)
-            .threads(1)
-            .execute()
-            .unwrap();
-        let wide = Run::new(&g)
-            .workload(w)
-            .method(Method::GpuOptimized)
-            .telemetry(Level::Off)
-            .threads(4)
-            .execute()
-            .unwrap();
-        assert_eq!(serial.count, wide.count);
-        assert_eq!(serial.workload, wide.workload);
+    let wide = gen::community_ring(3000, 150, 0.25, 3, 11);
+    let narrow = gen::community_ring(600, 30, 0.25, 3, 11);
+    for m in Method::ALL {
+        let g = if m.enumerates_combinations() {
+            &narrow
+        } else {
+            &wide
+        };
+        for w in [
+            Workload::Triangles,
+            Workload::Clustering,
+            Workload::KTruss(5),
+            Workload::Enumerate,
+        ] {
+            let run = Run::new(g).workload(w).method(m);
+            if run.check().is_err() {
+                continue;
+            }
+            let (_, _, serial) = behaviour(run.clone().threads(1));
+            for t in [2, 4] {
+                let (_, _, parallel) = behaviour(run.clone().threads(t));
+                if let Some(d) = first_difference(&serial, &parallel, "") {
+                    panic!(
+                        "{} {}: widths 1 and {t} differ first at {d}",
+                        m.label(),
+                        w.label()
+                    );
+                }
+            }
+        }
     }
 }
